@@ -16,7 +16,8 @@ from .analysis import (FitResult, SweepSpec, criterion_alpha,
                        weight_scan)
 from .binning import (BinProbabilities, SourceConfig, bin_curvature_integrals,
                       bin_probabilities, delta_profile)
-from .exceptions import (GeometryError, MassTruncationWarning,
+from .exceptions import (ConvergenceWarning, GeometryError,
+                         MassTruncationWarning,
                          ModelAssumptionError, NoResolutionError,
                          ParameterError, StatresError,
                          UnsupportedMethodError)
@@ -35,7 +36,7 @@ from .resolution import (ResolutionQuery, ResolutionResult, acuna_power,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinProbabilities", "FitResult", "GeometryError",
+    "BinProbabilities", "ConvergenceWarning", "FitResult", "GeometryError",
     "MassTruncationWarning", "ModelAssumptionError", "NoiseModel",
     "NoResolutionError", "ParameterError", "PsfModel", "ResolutionQuery",
     "ResolutionResult", "RngState", "SourceConfig", "StatresError",

@@ -296,7 +296,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     }
     meta = base_meta("resolve", opts)
     meta["substitution"] = substitution
-    for key in ("note", "converged", "iterations", "expansions"):
+    for key in ("note", "converged", "iterations", "expansions", "start"):
         if key in diag:
             meta[key] = diag[key]
     emit(opts, meta, RESOLVE_COLUMNS, [record])
@@ -540,10 +540,10 @@ def _ks_records(model: NoiseModel, psf: PsfModel, opts: dict) -> list[dict]:
                  else vsg_nu(probs, t, model.thinning))
             mean = -m if side == "null" else m
             var = 2.0 * m
-        y = sample_observations(model, p, t,
-                                rng.generator(0 if side == "null" else 1),
-                                reps=opts["reps"])
-        stats = lrt_statistic(model, probs, t, y)
+        # the draw is dropped once reduced, before the next side's draw
+        stats = lrt_statistic(model, probs, t, sample_observations(
+            model, p, t, rng.generator(0 if side == "null" else 1),
+            reps=opts["reps"]))
         standardized = (stats - mean) / math.sqrt(var)
         ks = float(kstest(standardized, "norm").statistic)
         records.append({"check": f"{model.kind}-normality", "side": side,

@@ -31,3 +31,7 @@ class ModelAssumptionError(StatresError):
 
 class MassTruncationWarning(UserWarning):
     """A kernel loses more than 1 percent of its mass outside [0, 1]."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative solver stopped before meeting its convergence test."""

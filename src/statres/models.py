@@ -35,6 +35,9 @@ from .exceptions import (ModelAssumptionError, ParameterError,
                          UnsupportedMethodError)
 
 MODEL_KINDS = ("poisson", "vsg", "hg")
+# variates per chunk of a Monte Carlo draw: bounds the integer temporary
+# of a Poisson draw to 8 MB whatever reps and n are
+SAMPLE_CHUNK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,24 +119,34 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
     probabilities p under the given model.
 
     Deterministic given the RngState: repeated calls with the same state
-    return the same draws.
+    return the same draws. Rows are drawn into the float output in chunks
+    of about SAMPLE_CHUNK_VALUES variates, so a Poisson draw needs one
+    chunk of integer counts as its only temporary. The generator fills
+    the rows in order, so the result equals a single full-size draw.
     """
     _check_t(t)
     p = np.asarray(p, dtype=float)
-    lam = model.thinning * t * p
+    lam = model.thinning * t * p.ravel()
     gen = _resolve_generator(rng)
-    size = p.shape if reps is None else (reps, p.size)
     if model.kind == "poisson":
         if np.any(lam <= 0.0):
             raise ModelAssumptionError(
                 "poisson model requires strictly positive bin means")
-        return gen.poisson(lam, size=size).astype(float)
-    if np.any(lam < 0.0):
+    elif np.any(lam < 0.0):
         raise ModelAssumptionError("bin intensities must be >= 0")
-    noise = gen.standard_normal(size)
+    out = np.empty((1 if reps is None else reps, lam.size))
+    step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
+    for first in range(0, out.shape[0], step):
+        block = out[first:first + step]
+        if model.kind == "poisson":
+            block[...] = gen.poisson(lam, size=block.shape)
+        else:
+            gen.standard_normal(out=block)
     if model.kind == "vsg":
-        return 2.0 * np.sqrt(lam) + noise
-    return lam + noise
+        out += 2.0 * np.sqrt(lam)
+    elif model.kind == "hg":
+        out += lam
+    return out.reshape(p.shape) if reps is None else out
 
 
 def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
@@ -282,16 +295,16 @@ def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
         raise ParameterError(f"unknown threshold mode {threshold_mode!r}")
     if rng is None:
         rng = RngState()
-    y0 = sample_observations(model, probs.p0, t, rng.generator(0), reps=reps)
-    t0 = lrt_statistic(model, probs, t, y0)
+    t0 = lrt_statistic(model, probs, t, sample_observations(
+        model, probs.p0, t, rng.generator(0), reps=reps))
     if threshold_mode == "analytic":
         threshold = analytic_report(model, probs, t, alpha).threshold
     else:
         order = int(math.ceil((1.0 - alpha) * reps))
         threshold = float(np.sort(t0)[order - 1])
     level = float(np.mean(t0 > threshold))
-    y1 = sample_observations(model, probs.p1, t, rng.generator(1), reps=reps)
-    t1 = lrt_statistic(model, probs, t, y1)
+    t1 = lrt_statistic(model, probs, t, sample_observations(
+        model, probs.p1, t, rng.generator(1), reps=reps))
     power = float(np.mean(t1 > threshold))
     mc_se = math.sqrt(power * (1.0 - power) / reps)
     return TestReport(threshold=float(threshold), level=level, power=power,

@@ -6,8 +6,12 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
 
 * ``asymptotic_resolution``  closed-form rate with exact kernel integrals,
 * ``finite_n_resolution``    closed-form rate with per-bin integrals,
-* ``exact_resolution``       bisection on the exact Gaussian-model power,
-* ``mc_resolution``          bisection on a Monte Carlo power estimate.
+* ``exact_resolution``       Brent's method on the exact Gaussian-model
+                             power,
+* ``mc_resolution``          a search on a Monte Carlo power estimate that
+                             starts at the analytic critical separation
+                             and walks outward, then bisects, only when
+                             the simulation disagrees with it.
 
 The two Gaussian models scale differently: the variance-stabilized model
 (and Poisson, which shares its asymptotics) resolves at order t^(-1/4)
@@ -18,24 +22,27 @@ order t^(-1/2) n^(1/4), paying for its signal-independent noise floor.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .binning import SourceConfig, bin_curvature_integrals, bin_probabilities
-from .exceptions import (GeometryError, NoResolutionError, ParameterError,
+from .exceptions import (ConvergenceWarning, GeometryError,
+                         NoResolutionError, ParameterError,
                          UnsupportedMethodError)
 from .models import (NoiseModel, RngState, analytic_report, lrt_statistic,
-                     sample_observations, separation_measure)
+                     sample_observations)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
-BISECT_M_TOL = 1e-10
-BISECT_D_TOL = 1e-12
+ROOT_GRID = 2.0 ** -40
 MC_MAX_ITERATIONS = 60
 MC_EXPANSION_FACTOR = 1.5
+MC_WALK_FACTOR = 1.05
 MC_WINDOW_MARGIN = 0.05
 MC_FWHM_CAP = 4.0
 
@@ -158,61 +165,109 @@ def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
                (1.0 - margin - x0) / weight_q)
 
 
-def _separation_at(query: ResolutionQuery, d: float) -> float:
+def _power_gap(query: ResolutionQuery, d: float) -> float:
+    """Closed-form power at separation d minus the target 1 - beta.
+
+    Exact for hg/vsg, CLT for poisson.
+    """
+    if d == 0.0:
+        # the pair coincides with the single source: power is the level
+        return query.alpha - (1.0 - query.beta)
     src = SourceConfig(x0=query.x0, d=d, weight_q=query.weight_q)
     probs = bin_probabilities(query.psf, src, query.n)
-    return separation_measure(query.model, probs, query.t)
+    return (analytic_report(query.model, probs, query.t, query.alpha).power
+            - (1.0 - query.beta))
+
+
+def _power_root(query: ResolutionQuery, lo: float, hi: float,
+                known: dict[float, float]) -> tuple[float, float, int]:
+    """Root of the power gap in the bracket [lo, hi] by Brent's method.
+
+    The root reported is the first point of the grid k * ROOT_GRID whose
+    gap is >= 0. Brent's method finds it within a step or two; the last
+    steps read only the sign of the gap, so queries whose gaps agree in
+    exact arithmetic but not in the last bits (hg with and without a
+    background pedestal) give the same root.
+
+    ``known`` maps separations already evaluated (the bracket ends among
+    them) to their gaps and is extended in place. Returns the root, its
+    gap and the number of gap evaluations, the known ones included.
+    """
+    def gap(d: float) -> float:
+        if d not in known:
+            known[d] = _power_gap(query, d)
+        return known[d]
+
+    k = math.floor(brentq(gap, lo, hi, xtol=ROOT_GRID) / ROOT_GRID)
+    while gap(k * ROOT_GRID) >= 0.0:
+        k -= 1
+    while gap((k + 1) * ROOT_GRID) < 0.0:
+        k += 1
+    root = (k + 1) * ROOT_GRID
+    return root, gap(root), len(known)
 
 
 def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
-    """Bisection on the exact power of the Gaussian-model tests.
+    """Brent's method on the exact power of the Gaussian-model tests.
 
-    Solves m(d) = (z_(1-alpha) + z_(1-beta))^2 / 2, where m is the
-    model's separation measure; at the root the level-alpha test has
-    power exactly 1 - beta. Not defined for poisson.
+    Finds the d at which the level-alpha test has power exactly 1 - beta,
+    the root of m(d) = (z_(1-alpha) + z_(1-beta))^2 / 2 with m the
+    model's separation measure. Not defined for poisson.
     """
     if query.model.kind == "poisson":
         raise UnsupportedMethodError(
             "exact resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
-    target = 0.5 * _quantile_gap(query.alpha, query.beta) ** 2
     hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
-    if _separation_at(query, hi) < target:
+    known = {hi: _power_gap(query, hi)}
+    if known[hi] < 0.0:
         raise GeometryError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
-    lo = 0.0
-    iterations = 0
-    mid = hi
-    residual = math.inf
-    while iterations < 200:
-        mid = 0.5 * (lo + hi)
-        m = _separation_at(query, mid)
-        residual = m - target
-        iterations += 1
-        if abs(residual) <= BISECT_M_TOL or hi - lo <= BISECT_D_TOL:
-            break
-        if m < target:
-            lo = mid
-        else:
-            hi = mid
-    diag = {"iterations": iterations, "residual": residual,
-            "target": target}
-    return _checked_result(mid, "exact", diag)
+    d, residual, evaluations = _power_root(query, 0.0, hi, known)
+    diag = {"iterations": evaluations, "residual": residual}
+    return _checked_result(d, "exact", diag)
+
+
+def _analytic_start(query: ResolutionQuery, fwhm: float, cap: float) -> float:
+    """Separation where the closed-form power reaches 1 - beta, or the cap.
+
+    The bracket grows from min(FWHM, cap) by the Monte Carlo expansion
+    factor and stops at the first end past the root, so no wider
+    separation is ever evaluated.
+    """
+    lo, hi = 0.0, min(fwhm, cap)
+    known = {hi: _power_gap(query, hi)}
+    while known[hi] < 0.0:
+        if hi >= cap * (1.0 - 1e-12):
+            return cap
+        lo, hi = hi, min(MC_EXPANSION_FACTOR * hi, cap)
+        known[hi] = _power_gap(query, hi)
+    return _power_root(query, lo, hi, known)[0]
 
 
 def mc_resolution(query: ResolutionQuery, reps: int = 10000,
                   rng: RngState | None = None,
                   threshold_mode: str = "analytic") -> ResolutionResult:
-    """Bisection on a Monte Carlo estimate of the type-II error rate.
+    """Search for the separation whose simulated type-II rate is beta.
 
-    Starting bracket [0, FWHM]; the upper end grows by 1.5x (capped by
-    4 FWHM and by keeping both sources inside (0.05, 0.95)) until the
-    estimated type-II rate beta_hat drops below the acceptance band.
-    Bisection stops once beta_hat falls in [0.95 beta, 1.05 beta) or
-    after 60 iterations. Each estimate draws reps observations from a
-    fresh substream indexed by (phase, iteration, side), so the result
-    is deterministic given the RngState and independent of threading.
+    The first draw is at the analytic critical separation d_a, where the
+    closed-form power (exact for hg/vsg, CLT for poisson) reaches
+    1 - beta; it is the answer whenever the estimated type-II rate
+    beta_hat lands in the acceptance band [0.95 beta, 1.05 beta). Otherwise
+    the search walks outward from d_a in geometric steps x1.05, x1.05^2,
+    x1.05^4, ..., up while beta_hat stays above the band (capped by
+    4 FWHM and by keeping both sources inside (0.05, 0.95)) or down while
+    it stays below, until a probe lands in the band or the band is
+    bracketed; bisection of the bracket then stops in the band or after
+    60 iterations, with a ConvergenceWarning in the latter case.
+
+    Each estimate draws reps observations from a fresh substream indexed
+    by (phase, iteration, side): phase 0 holds the start and the outward
+    steps, phase 1 the bisection. The result is deterministic given the
+    RngState and independent of threading. Diagnostics record the start
+    d_a and the trajectory of (d, beta_hat) per probe, whose length is
+    1 + expansions + iterations.
     """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
@@ -222,25 +277,30 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         rng = RngState()
     band_lo = 0.95 * query.beta
     band_hi = 1.05 * query.beta
+    trajectory: list[tuple[float, float]] = []
 
     def type2(d: float, phase: int, iteration: int) -> float:
         src = SourceConfig(x0=query.x0, d=d, weight_q=query.weight_q)
         probs = bin_probabilities(query.psf, src, query.n)
         if threshold_mode == "h0-calibrated":
-            y0 = sample_observations(
-                query.model, probs.p0, query.t,
-                rng.generator(phase, iteration, 0), reps=reps)
-            t0 = lrt_statistic(query.model, probs, query.t, y0)
+            t0 = lrt_statistic(query.model, probs, query.t,
+                               sample_observations(
+                                   query.model, probs.p0, query.t,
+                                   rng.generator(phase, iteration, 0),
+                                   reps=reps))
             order = int(math.ceil((1.0 - query.alpha) * reps))
             threshold = float(np.sort(t0)[order - 1])
         else:
             threshold = analytic_report(
                 query.model, probs, query.t, query.alpha).threshold
-        y1 = sample_observations(
-            query.model, probs.p1, query.t,
-            rng.generator(phase, iteration, 1), reps=reps)
-        t1 = lrt_statistic(query.model, probs, query.t, y1)
-        return float(np.mean(t1 <= threshold))
+        t1 = lrt_statistic(query.model, probs, query.t,
+                           sample_observations(
+                               query.model, probs.p1, query.t,
+                               rng.generator(phase, iteration, 1),
+                               reps=reps))
+        beta_hat = float(np.mean(t1 <= threshold))
+        trajectory.append((d, beta_hat))
+        return beta_hat
 
     fwhm = psf_fwhm(query.psf)
     cap = min(MC_FWHM_CAP * fwhm,
@@ -249,21 +309,32 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         raise GeometryError(
             "x0 leaves no room for two sources inside (0.05, 0.95)")
 
-    lo = 0.0
-    hi = min(fwhm, cap)
+    start = _analytic_start(query, fwhm, cap)
+    d = start
+    beta_hat = type2(d, 0, 0)
+    # walk outward until a probe lands in the band or the band is
+    # bracketed: beta_hat(lo) >= band_hi and beta_hat(hi) < band_lo
     expansions = 0
-    beta_hat = type2(hi, 0, expansions)
-    while beta_hat >= band_hi:
-        if hi >= cap * (1.0 - 1e-12):
-            raise NoResolutionError(
-                f"type-II rate {beta_hat} stays above the band even at "
-                f"the separation cap {cap}")
-        lo = hi
-        hi = min(MC_EXPANSION_FACTOR * hi, cap)
-        expansions += 1
-        beta_hat = type2(hi, 0, expansions)
+    factor = MC_WALK_FACTOR
+    if beta_hat >= band_hi:
+        while beta_hat >= band_hi:
+            if d >= cap * (1.0 - 1e-12):
+                raise NoResolutionError(
+                    f"type-II rate {beta_hat} stays above the band even "
+                    f"at the separation cap {cap}")
+            lo, d = d, min(factor * d, cap)
+            factor *= factor
+            expansions += 1
+            beta_hat = type2(d, 0, expansions)
+        hi = d
+    elif beta_hat < band_lo:
+        while beta_hat < band_lo:
+            hi, d = d, d / factor
+            factor *= factor
+            expansions += 1
+            beta_hat = type2(d, 0, expansions)
+        lo = d
 
-    d = hi
     converged = band_lo <= beta_hat < band_hi
     iterations = 0
     while not converged and iterations < MC_MAX_ITERATIONS:
@@ -276,12 +347,18 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             lo = d
         else:
             hi = d
+    if not converged:
+        warnings.warn(
+            f"Monte Carlo search did not reach the type-II band "
+            f"[{band_lo:g}, {band_hi:g}) in {MC_MAX_ITERATIONS} bisection "
+            f"steps; reporting d = {d} with beta_hat = {beta_hat}",
+            ConvergenceWarning, stacklevel=2)
 
     diag = {"iterations": iterations, "expansions": expansions,
             "beta_hat": beta_hat, "band": (band_lo, band_hi),
             "mc_se": math.sqrt(beta_hat * (1.0 - beta_hat) / reps),
             "converged": converged, "threshold_mode": threshold_mode,
-            "reps": reps}
+            "reps": reps, "start": start, "trajectory": trajectory}
     return _checked_result(d, "monte_carlo", diag)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process."""
 
 import json
+import warnings
 
 import pytest
 
@@ -110,6 +111,25 @@ def test_resolve_mc_is_deterministic(capsys):
     rows = parse_csv(first)[2]
     assert rows[0]["method"] == "monte_carlo"
     assert int(rows[0]["reps"]) == 500
+
+
+def test_resolve_mc_reports_its_start(capsys):
+    code, out, _ = run(capsys, ["resolve", "--model", "vsg", "--method",
+                                "mc", "--reps", "500"])
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert 0.0 < float(meta["start"]) < 1.0
+    for key in ("converged", "iterations", "expansions"):
+        assert key in meta
+
+
+def test_default_mc_resolve_stays_inside_the_window(capsys):
+    # the analytic start never probes a separation whose sources lose
+    # kernel mass off the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["resolve", "--method", "mc"])
+    assert code == 0 and err == ""
 
 
 def test_resolve_json_round_trip(capsys):

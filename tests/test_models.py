@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
+import statres.models as models
 from statres.binning import (BinProbabilities, SourceConfig,
                              bin_curvature_integrals, bin_probabilities)
 from statres.exceptions import (ModelAssumptionError, ParameterError,
@@ -109,6 +110,28 @@ def test_gaussian_sample_moments():
     assert_allclose(y.mean(axis=0), 2.0 * np.sqrt(50.0 * probs.p0),
                     atol=4.0 / math.sqrt(reps))
     assert_allclose(y.var(axis=0), 1.0, atol=0.02)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_chunked_draw_equals_one_shot_draw(kind, monkeypatch):
+    # row chunks of 3 rows (64 // 20) with a ragged last chunk
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
+    probs = make_probs(gamma=0.5)
+    lam = 30.0 * probs.p0
+    got = sample_observations(NoiseModel(kind), probs.p0, 30.0,
+                              RngState(seed=4), reps=50)
+    gen = RngState(seed=4).generator()
+    if kind == "poisson":
+        want = gen.poisson(lam, size=(50, probs.n)).astype(float)
+    elif kind == "vsg":
+        want = 2.0 * np.sqrt(lam) + gen.standard_normal((50, probs.n))
+    else:
+        want = lam + gen.standard_normal((50, probs.n))
+    assert np.array_equal(got, want)
+    single = sample_observations(NoiseModel(kind), probs.p0, 30.0,
+                                 RngState(seed=4))
+    assert single.shape == (probs.n,)
+    assert np.array_equal(single, want[0])
 
 
 def test_poisson_requires_positive_means():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from statres.exceptions import (GeometryError, NoResolutionError,
-                                ParameterError, UnsupportedMethodError)
+import statres.resolution as resolution
+from statres.exceptions import (ConvergenceWarning, GeometryError,
+                                NoResolutionError, ParameterError,
+                                UnsupportedMethodError)
 from statres.models import NoiseModel, RngState, exact_error_rates, \
     normal_quantile
 from statres.binning import SourceConfig, bin_probabilities
@@ -88,6 +90,18 @@ def test_hg_resolution_ignores_background():
             assert exact_resolution(q).d == baseline[2]
 
 
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+@pytest.mark.parametrize("sigma", [0.07, 0.1, 0.12])
+def test_hg_exact_resolution_ignores_background_bitwise(sigma):
+    # the pedestal shifts p0 and p1 alike, so the hg power is the same in
+    # exact arithmetic; the root must not follow last-bit rounding
+    clean = exact_resolution(make_query("hg", sigma=sigma, t=20.0, n=20))
+    noisy = exact_resolution(make_query("hg", sigma=sigma, gamma=5.0,
+                                        t=20.0, n=20))
+    assert clean.d == noisy.d
+
+
 def test_background_degrades_vsg_resolution():
     clean = asymptotic_resolution(make_query("vsg", t=20.0)).d
     noisy = asymptotic_resolution(make_query("vsg", gamma=2.0, t=20.0)).d
@@ -131,6 +145,13 @@ def test_exact_resolution_reaches_the_requested_power():
             assert_allclose(report.power, 1.0 - beta, atol=1e-9)
 
 
+def test_exact_resolution_counts_brent_evaluations():
+    # plain bisection took 37 evaluations
+    result = exact_resolution(make_query("vsg", t=20.0, n=20))
+    assert 3 <= result.diagnostics["iterations"] <= 20
+    assert abs(result.diagnostics["residual"]) < 1e-9
+
+
 def test_exact_resolution_shrinks_as_beta_grows():
     ds = [exact_resolution(make_query("vsg", t=20.0, beta=b)).d
           for b in (0.05, 0.1, 0.2, 0.4)]
@@ -144,7 +165,7 @@ def test_exact_resolution_off_center_geometry_failure():
             exact_resolution(make_query("vsg", t=20.0, x0=0.05))
 
 
-def test_flat_kernel_resolves_nothing():
+def test_flat_kernel_resolves_nothing(monkeypatch):
     flat = ResolutionQuery(model=NoiseModel("vsg"),
                            psf=PsfModel.gaussian(10.0), t=20.0, n=20)
     with pytest.raises(NoResolutionError):
@@ -152,9 +173,66 @@ def test_flat_kernel_resolves_nothing():
     with pytest.warns(Warning):
         with pytest.raises(GeometryError):
             exact_resolution(flat)
+    # no analytic crossing below the cap: the Monte Carlo search starts
+    # at the cap and gives up after its first draw
+    draws = []
+    original = resolution.sample_observations
+    monkeypatch.setattr(resolution, "sample_observations",
+                        lambda *a, **k: draws.append(1) or original(*a, **k))
     with pytest.warns(Warning):
         with pytest.raises(NoResolutionError):
             mc_resolution(flat, reps=200, rng=RngState())
+    assert len(draws) == 1
+
+
+def test_mc_resolution_starts_at_the_analytic_separation():
+    query = make_query("vsg", t=20.0, n=20)
+    result = mc_resolution(query, reps=2000, rng=RngState(seed=0))
+    diag = result.diagnostics
+    # for vsg the analytic start is the exact solver's root
+    assert_allclose(diag["start"], exact_resolution(query).d, rtol=1e-9)
+    trajectory = diag["trajectory"]
+    assert trajectory[0][0] == diag["start"]
+    assert trajectory[-1] == (result.d, diag["beta_hat"])
+    assert len(trajectory) == 1 + diag["expansions"] + diag["iterations"]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
+def test_mc_search_recovers_from_a_missed_first_probe(mode):
+    # at reps = 200 the band half-width 0.005 is a quarter of a standard
+    # error, so the first probe usually misses and the search walks
+    directions = set()
+    for kind in ("poisson", "vsg"):
+        query = make_query(kind, t=20.0, n=20)
+        for seed in range(6):
+            result = mc_resolution(query, reps=200, rng=RngState(seed=seed),
+                                   threshold_mode=mode)
+            diag = result.diagnostics
+            trajectory = diag["trajectory"]
+            assert len(trajectory) == (1 + diag["expansions"]
+                                       + diag["iterations"])
+            assert trajectory[-1] == (result.d, diag["beta_hat"])
+            assert diag["converged"]
+            band_lo, band_hi = diag["band"]
+            assert band_lo <= diag["beta_hat"] < band_hi
+            # outward steps grow geometrically: x1.05, x1.05^2, x1.05^4
+            ds = [step[0] for step in trajectory[:1 + diag["expansions"]]]
+            for k in range(1, len(ds)):
+                ratio = ds[k] / ds[k - 1]
+                assert_allclose(max(ratio, 1.0 / ratio),
+                                1.05 ** (2 ** (k - 1)), rtol=1e-12)
+            if len(ds) > 1:
+                directions.add(ds[1] > ds[0])
+    assert directions == {True, False}
+
+
+def test_mc_search_warns_when_bisection_runs_out(monkeypatch):
+    monkeypatch.setattr(resolution, "MC_MAX_ITERATIONS", 0)
+    query = make_query("vsg", t=20.0, n=20)
+    with pytest.warns(ConvergenceWarning):
+        results = [mc_resolution(query, reps=200, rng=RngState(seed=s))
+                   for s in range(6)]
+    assert not all(r.diagnostics["converged"] for r in results)
 
 
 def test_mc_resolution_agrees_with_exact():
