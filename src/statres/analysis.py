@@ -31,6 +31,8 @@ from .resolution import (ResolutionQuery, asymptotic_resolution,
 # Rayleigh 0.61 * fwhm / 0.51, against the boundary C sqrt(z) t^(-1/4) fwhm
 CRITERION_RATIOS = {"abbe": 0.5 / 0.51, "rayleigh": 0.61 / 0.51}
 BOUNDARY_COEFF = 2.0 ** 0.25 / math.sqrt(math.log(2.0))
+# powers closer than this are equal to within the bin quadrature's accuracy
+POWER_TIE_TOL = 1e-12
 
 TABLE1_ALPHAS = (0.01, 0.05, 0.1)
 TABLE2_TIMES = (10, 20, 30, 40, 50)
@@ -93,7 +95,9 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
     The grid must be symmetric about zero. Offsets whose sources leave the
     window are skipped and flagged infeasible. Returns the records and the
     offset of minimal power; the symmetric placement (offset zero) is the
-    hardest alternative.
+    hardest alternative. Powers within 1e-12 of each other count as equal
+    and the first offset is kept, so mirror-image offsets, whose powers
+    agree up to rounding, report the leftmost.
     """
     lambdas = sorted(float(v) for v in lambdas)
     scale = max(abs(v) for v in lambdas) or 1.0
@@ -113,7 +117,7 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
         power = analytic_report(model, probs, t, alpha).power
         records.append({"offset_lambda": lam, "power": power,
                         "feasible": True})
-        if power < best[0]:
+        if power < best[0] - POWER_TIE_TOL:
             best = (power, lam)
     if not math.isfinite(best[0]):
         raise ParameterError("no feasible offset in the grid")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryError, MassTruncationWarning, ParameterError
-from .psf import PsfModel, kernel_value, mass_fraction, psf_first_derivative
+from .psf import PsfModel, kernel_value, psf_first_derivative, total_mass
 from .quadrature import integrate_bins
 
 MASS_WARN_FRACTION = 0.99
@@ -99,24 +99,25 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
         raise ParameterError("bin count n must be an integer >= 1")
     edges = bin_edges(n)
     pedestal = psf.background / n
-    p0 = _kernel_bins(psf, src.x0, edges) + pedestal
+    kernel_bins = [_kernel_bins(psf, src.x0, edges)]
+    p0 = kernel_bins[0] + pedestal
 
     if src.d == 0.0 and src.offset_lambda == 0.0:
         # both alternative sources coincide with the null position
         p1 = p0.copy()
     else:
         q = src.weight_q
-        p1 = (q * _kernel_bins(psf, src.x1, edges)
-              + (1.0 - q) * _kernel_bins(psf, src.x2, edges)
-              + pedestal)
+        kernel_bins += [_kernel_bins(psf, src.x1, edges),
+                        _kernel_bins(psf, src.x2, edges)]
+        p1 = q * kernel_bins[1] + (1.0 - q) * kernel_bins[2] + pedestal
 
-    for center in (src.x0, src.x1, src.x2):
-        if mass_fraction(psf, center) < MASS_WARN_FRACTION:
-            warnings.warn(
-                "a source keeps less than 99 percent of its kernel mass "
-                "inside [0, 1]; bin probabilities are truncated",
-                MassTruncationWarning, stacklevel=2)
-            break
+    # the bins tile [0, 1], so each kernel-bin sum is the mass inside it
+    floor = MASS_WARN_FRACTION * total_mass(psf)
+    if any(bins.sum() < floor for bins in kernel_bins):
+        warnings.warn(
+            "a source keeps less than 99 percent of its kernel mass "
+            "inside [0, 1]; bin probabilities are truncated",
+            MassTruncationWarning, stacklevel=2)
 
     return BinProbabilities(n=n, p0=p0, p1=p1)
 
@@ -137,8 +138,7 @@ def bin_curvature_integrals(psf: PsfModel, x0: float, n: int) -> np.ndarray:
     """Per-bin integrals of h''(x - x0), via the fundamental theorem.
 
     Each bin integral equals the difference of the kernel's first
-    derivative at the bin edges, exact for the Gaussian kernel and
-    accurate to the finite-difference error for the Airy kernel.
+    derivative at the bin edges; both kernels have it in closed form.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError("bin count n must be an integer >= 1")

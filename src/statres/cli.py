@@ -24,7 +24,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.stats import kstest
@@ -54,6 +56,7 @@ DEFAULT_GRIDS = {
     "t": "7,9,12,15,20,26,34,44,57,63",
     "n": "8,11,15,20,27,36,48,64",
 }
+MAX_GRID_POINTS = 100_000
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -64,19 +67,35 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Grid syntax: 'lo:hi:step' (inclusive) or 'v1,v2,...'."""
+    """Grid syntax: 'lo:hi:step' (inclusive) or 'v1,v2,...'.
+
+    A range is stepped in decimal arithmetic, so 0.15:0.25:0.01 holds
+    0.18 itself, the double nearest to lo + k step.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"bad grid {text!r}; want lo:hi:step")
         try:
-            lo, hi, step = (float(p) for p in parts)
-        except ValueError as exc:
+            lo, hi, step = (Decimal(p) for p in parts)
+            finite = all(math.isfinite(float(v)) for v in (lo, hi, step))
+            count = (int((hi - lo) // step) + 1
+                     if finite and step > 0 and hi >= lo else 0)
+        except (ArithmeticError, ValueError) as exc:
             raise ParameterError(f"bad grid {text!r}") from exc
-        if step <= 0.0 or hi < lo:
+        if count < 1:
             raise ParameterError(f"bad grid {text!r}")
-        return [float(v) for v in np.arange(lo, hi + 0.5 * step, step)]
+        if count > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"grid {text!r} has {count} points; at most "
+                f"{MAX_GRID_POINTS} allowed")
+        return [float(lo + k * step) for k in range(count)]
     return parse_float_list(text)
+
+
+def parse_bool(text: str) -> bool:
+    """A boolean option's config value, true or false."""
+    return {"true": True, "false": False}[text.strip().lower()]
 
 
 def parse_psf(spec: str, background: float = 0.0) -> PsfModel:
@@ -98,10 +117,13 @@ def parse_psf(spec: str, background: float = 0.0) -> PsfModel:
 
 @dataclass(frozen=True)
 class Opt:
-    """One option: flag name, converter, default, help, choices."""
+    """One option: flag name, converter, default, help, choices.
+
+    An option converted by ``parse_bool`` is a bare command-line flag.
+    """
 
     name: str
-    conv: type | None
+    conv: Callable[[str], object]
     default: object
     help: str
     choices: tuple | None = None
@@ -132,8 +154,11 @@ QUERY_OPTS = [
 
 def add_options(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
     for opt in opts:
+        # every default is None, so an unset flag defers to the config file
         kwargs = {"help": opt.help, "default": None, "dest": opt.attr}
-        if opt.conv is not None:
+        if opt.conv is parse_bool:
+            kwargs["action"] = "store_true"
+        else:
             kwargs["type"] = opt.conv
         if opt.choices is not None:
             kwargs["choices"] = list(opt.choices)
@@ -163,12 +188,22 @@ def load_config(path: str | None) -> dict[str, str]:
 def merge_options(args: argparse.Namespace, opts: list[Opt]) -> dict:
     """Apply precedence: command-line flag, config file, default."""
     config = load_config(getattr(args, "config", None))
+    # one file may serve several subcommands, so only keys that no
+    # subcommand knows are errors
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ParameterError(
+            f"unknown config key {unknown[0].replace('_', '-')!r}")
     merged = {}
     for opt in opts:
         value = getattr(args, opt.attr, None)
         if value is None and opt.attr in config:
             raw = config[opt.attr]
-            value = raw if opt.conv is None else opt.conv(raw)
+            try:
+                value = opt.conv(raw)
+            except (KeyError, ValueError):
+                raise ParameterError(
+                    f"bad config value {opt.name} = {raw!r}") from None
             if opt.choices is not None and value not in opt.choices:
                 raise ParameterError(
                     f"config value {opt.name} = {raw!r} not in "
@@ -177,7 +212,12 @@ def merge_options(args: argparse.Namespace, opts: list[Opt]) -> dict:
             value = opt.default
         merged[opt.attr] = value
     if "seed" in merged and merged["seed"] is None:
-        merged["seed"] = int(os.environ.get("STATRES_SEED", "0"))
+        raw = os.environ.get("STATRES_SEED", "0")
+        try:
+            merged["seed"] = int(raw)
+        except ValueError:
+            raise ParameterError(
+                f"bad STATRES_SEED {raw!r}; want an integer") from None
     return merged
 
 
@@ -220,7 +260,11 @@ def emit(opts: dict, meta: dict, columns: list[str], records: list[dict],
     stream = sys.stdout
     handle = None
     if opts.get("output"):
-        handle = open(opts["output"], "w", encoding="utf-8")
+        try:
+            handle = open(opts["output"], "w", encoding="utf-8")
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot write {opts['output']}: {exc.strerror}") from None
         stream = handle
     try:
         fmt = opts.get("format", "csv")
@@ -507,10 +551,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- check
 
-CHECK_OPTS = ([Opt("clt", None, False, "poisson CLT normality check"),
-               Opt("hg-normality", None, False,
+CHECK_OPTS = ([Opt("clt", parse_bool, False, "poisson CLT normality check"),
+               Opt("hg-normality", parse_bool, False,
                    "hg statistic normality check"),
-               Opt("riemann", None, False,
+               Opt("riemann", parse_bool, False,
                    "Riemann-sum convergence check"),
                Opt("d", float, None, "separation (default fwhm/2)"),
                Opt("reps", int, 10000, "samples for the KS checks"),
@@ -603,6 +647,10 @@ COMMANDS = {
 }
 
 
+CONFIG_KEYS = frozenset(opt.attr for _, opts, _ in COMMANDS.values()
+                        for opt in opts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statres",
@@ -613,12 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (func, opts, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        flag_opts = [o for o in opts if o.conv is not None]
-        bool_opts = [o for o in opts if o.conv is None]
-        add_options(sub, flag_opts)
-        for opt in bool_opts:
-            sub.add_argument(f"--{opt.name}", action="store_true",
-                             dest=opt.attr, help=opt.help)
+        add_options(sub, opts)
         sub.set_defaults(func=func)
     return parser
 

@@ -10,10 +10,11 @@ A constant background pedestal ``background`` (detector noise floor, stray
 light) can be added to either kernel; it raises every bin probability and
 only the Fisher-type integral feels it.
 
-The two Gaussian integrals with closed forms here, the squared-curvature
-integral of h'' and the Fisher-type integral of h''^2 / (h + background),
-are the only kernel functionals the resolution formulas need. General
-center positions and the Airy kernel fall back to adaptive quadrature.
+Both kernels have closed-form first and second derivatives. The
+squared-curvature integral of h'' and the Fisher-type integral of
+h''^2 / (h + background) are the only kernel functionals the resolution
+formulas need; a centered Gaussian has both in closed form, and every
+other case goes through one adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf, j1, ndtr
+from scipy.special import erf, j1, jv, ndtr
 
 from .exceptions import ModelAssumptionError, ParameterError
 
@@ -113,48 +114,46 @@ def eval_psf(psf: PsfModel, u) -> np.ndarray:
     return kernel_value(psf, u) + psf.background
 
 
+def _airy_amplitude(psf: PsfModel, u) -> tuple:
+    """Scale s = dv/du and g(v) = 2 J1(v)/v with its first two v-derivatives.
+
+    The Bessel identities (J1(v)/v)' = -J2(v)/v and J2' = J1 - 2 J2/v
+    (DLMF 10.6) give g' = -2 J2/v and g'' = 6 J2/v^2 - 2 J1/v. Below
+    |v| = 1e-8 the series 1, -v/4, -1/4 are exact in double precision
+    (and J2(v) underflows below 1e-151).
+    """
+    scale = airy_fwhm_u() / psf.fwhm
+    v = scale * np.asarray(u, dtype=float)
+    small = np.abs(v) < 1e-8
+    w = np.where(small, 1.0, v)
+    b1, b2 = j1(w), jv(2, w)
+    g = np.where(small, 1.0, 2.0 * b1 / w)
+    dg = np.where(small, -0.25 * v, -2.0 * b2 / w)
+    d2g = np.where(small, -0.25, 6.0 * b2 / w ** 2 - 2.0 * b1 / w)
+    return scale, g, dg, d2g
+
+
 def psf_first_derivative(psf: PsfModel, u) -> np.ndarray:
     """First derivative h'(u) of the kernel (background drops out)."""
     u = np.asarray(u, dtype=float)
     if psf.kind == "gaussian":
         return -u / psf.sigma ** 2 * kernel_value(psf, u)
-    step = 1e-3 * psf.fwhm / airy_fwhm_u()
-    return _fd_first_derivative(lambda x: kernel_value(psf, x), u, step)
-
-
-def _fd_first_derivative(func, u, step: float) -> np.ndarray:
-    """Central difference with one Richardson extrapolation."""
-    def central(h):
-        return (func(u + h) - func(u - h)) / (2.0 * h)
-
-    coarse = central(step)
-    fine = central(0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+    scale, g, dg, _ = _airy_amplitude(psf, u)
+    return 2.0 * scale * g * dg
 
 
 def psf_second_derivative(psf: PsfModel, u) -> np.ndarray:
     """Second derivative h''(u) of the kernel (background drops out).
 
-    Gaussian kernels use the analytic expression. The Airy kernel uses a
-    Richardson-extrapolated central difference with a step tied to the
-    kernel width, accurate to roughly 1e-9 relative.
+    Both kernels use closed forms; the Airy one is h = g(s u)^2 with
+    h'' = 2 s^2 (g'^2 + g g''), from the Bessel identities above.
     """
     u = np.asarray(u, dtype=float)
     if psf.kind == "gaussian":
         s = psf.sigma
         return kernel_value(psf, u) * (u ** 2 - s ** 2) / s ** 4
-    step = 1e-3 * psf.fwhm / airy_fwhm_u()
-    return _fd_second_derivative(lambda x: kernel_value(psf, x), u, step)
-
-
-def _fd_second_derivative(func, u, step: float) -> np.ndarray:
-    """Central second difference with one Richardson extrapolation."""
-    def central(h):
-        return (func(u - h) - 2.0 * func(u) + func(u + h)) / h ** 2
-
-    coarse = central(step)
-    fine = central(0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+    scale, g, dg, d2g = _airy_amplitude(psf, u)
+    return 2.0 * scale ** 2 * (dg ** 2 + g * d2g)
 
 
 def psf_fwhm(psf: PsfModel) -> float:
@@ -189,83 +188,70 @@ def sted_narrow(fwhm: float, xi: float) -> float:
 
 
 def gaussian_curvature_integral(sigma: float, x0: float = 0.5) -> float:
-    """Integral of h''(x - x0)^2 over [0, 1] for a Gaussian kernel.
-
-    Closed form for the centered case x0 = 1/2; other centers are computed
-    by adaptive quadrature. Leading order is (3/8) pi^-1/2 sigma^-5.
-    """
-    if not sigma > 0.0:
-        raise ParameterError("sigma must be > 0")
-    if x0 == 0.5:
-        num = (6.0 * math.sqrt(math.pi) * sigma ** 3 * float(erf(0.5 / sigma))
-               + math.exp(-0.25 / sigma ** 2) * (2.0 * sigma ** 2 - 1.0))
-        return num / (16.0 * math.pi * sigma ** 8)
-    psf = PsfModel.gaussian(sigma)
-    return _quad_unit(lambda x: psf_second_derivative(psf, x - x0) ** 2,
-                      x0, sigma)
+    """``curvature_integral`` of a Gaussian kernel with deviation sigma."""
+    return curvature_integral(PsfModel.gaussian(sigma), x0=x0)
 
 
 def gaussian_fisher_integral(sigma: float, gamma: float = 0.0,
                              x0: float = 0.5) -> float:
-    """Integral of h''^2 / (h + gamma) over [0, 1] for a Gaussian kernel.
-
-    Closed form for gamma = 0 and x0 = 1/2; a positive pedestal or an
-    off-center kernel routes to adaptive quadrature. Leading order at
-    gamma = 0 is 2 sigma^-4.
-    """
-    if not sigma > 0.0:
-        raise ParameterError("sigma must be > 0")
-    if gamma < 0.0:
-        raise ParameterError("gamma must be >= 0")
-    if gamma == 0.0 and x0 == 0.5:
-        term1 = 2.0 * float(erf(0.5 / (math.sqrt(2.0) * sigma))) / sigma ** 4
-        term2 = (math.exp(-0.125 / sigma ** 2) * (4.0 * sigma ** 2 + 1.0)
-                 / (4.0 * math.sqrt(2.0 * math.pi) * sigma ** 7))
-        return term1 - term2
-    psf = PsfModel.gaussian(sigma, background=gamma)
-    return _quad_unit(
-        lambda x: psf_second_derivative(psf, x - x0) ** 2 / eval_psf(psf, x - x0),
-        x0, sigma)
+    """``fisher_integral`` of a Gaussian kernel plus pedestal gamma."""
+    return fisher_integral(PsfModel.gaussian(sigma, background=gamma),
+                           x0=x0)
 
 
 def curvature_integral(psf: PsfModel, x0: float = 0.5) -> float:
-    """Integral of h''(x - x0)^2 over [0, 1] for any supported kernel."""
-    if psf.kind == "gaussian":
-        return gaussian_curvature_integral(psf.sigma, x0=x0)
-    width = psf.fwhm / airy_fwhm_u()
-    # finite-difference noise in h'' caps the usable tolerance
+    """Integral of h''(x - x0)^2 over [0, 1] for any supported kernel.
+
+    Closed form for a centered Gaussian, leading order
+    (3/8) pi^-1/2 sigma^-5; adaptive quadrature otherwise.
+    """
+    if psf.kind == "gaussian" and x0 == 0.5:
+        sigma = psf.sigma
+        num = (6.0 * math.sqrt(math.pi) * sigma ** 3 * float(erf(0.5 / sigma))
+               + math.exp(-0.25 / sigma ** 2) * (2.0 * sigma ** 2 - 1.0))
+        return num / (16.0 * math.pi * sigma ** 8)
     return _quad_unit(lambda x: psf_second_derivative(psf, x - x0) ** 2,
-                      x0, width, epsrel=1e-8)
+                      x0, _width(psf))
 
 
 def fisher_integral(psf: PsfModel, x0: float = 0.5) -> float:
     """Integral of h''^2 / (h + background) over [0, 1] for any kernel.
 
-    The airy kernel vanishes at its rings, where h''^2 / h is not
-    integrable, so the airy case requires a positive background.
+    Closed form for a centered Gaussian without background, leading order
+    2 sigma^-4; adaptive quadrature otherwise. The airy kernel vanishes at
+    its rings, where h''^2 / h is not integrable, so the airy case
+    requires a positive background.
     """
-    if psf.kind == "gaussian":
-        return gaussian_fisher_integral(psf.sigma, gamma=psf.background,
-                                        x0=x0)
-    if psf.background == 0.0:
+    if psf.kind == "gaussian" and psf.background == 0.0 and x0 == 0.5:
+        sigma = psf.sigma
+        term1 = 2.0 * float(erf(0.5 / (math.sqrt(2.0) * sigma))) / sigma ** 4
+        term2 = (math.exp(-0.125 / sigma ** 2) * (4.0 * sigma ** 2 + 1.0)
+                 / (4.0 * math.sqrt(2.0 * math.pi) * sigma ** 7))
+        return term1 - term2
+    if psf.kind == "airy" and psf.background == 0.0:
         raise ModelAssumptionError(
             "the information integral diverges where the airy kernel "
             "vanishes; a positive background makes it finite")
-    width = psf.fwhm / airy_fwhm_u()
     return _quad_unit(
         lambda x: psf_second_derivative(psf, x - x0) ** 2 / eval_psf(psf, x - x0),
-        x0, width, epsrel=1e-8)
+        x0, _width(psf))
 
 
-def _quad_unit(func, center: float, width: float,
-               epsrel: float = 1e-11) -> float:
+def _width(psf: PsfModel) -> float:
+    """Length scale of the kernel's peak: sigma, or the Airy unit 1/s."""
+    if psf.kind == "gaussian":
+        return psf.sigma
+    return psf.fwhm / airy_fwhm_u()
+
+
+def _quad_unit(func, center: float, width: float) -> float:
     """Adaptive quadrature over [0, 1] with break points around a peak."""
     pts = sorted({min(max(center + k * width, 0.0), 1.0)
                   for k in (-5.0, -2.0, 0.0, 2.0, 5.0)})
     pts = [p for p in pts if 0.0 < p < 1.0]
     scalar = lambda x: float(func(np.asarray(x, dtype=float)))
     value, _ = quad(scalar, 0.0, 1.0, points=pts or None, limit=200,
-                    epsabs=0.0, epsrel=epsrel)
+                    epsabs=0.0, epsrel=1e-11)
     return value
 
 
@@ -273,7 +259,7 @@ def total_mass(psf: PsfModel) -> float:
     """Mass of the kernel over the whole line (background excluded)."""
     if psf.kind == "gaussian":
         return 1.0
-    return AIRY_TOTAL_MASS_U * psf.fwhm / airy_fwhm_u()
+    return AIRY_TOTAL_MASS_U * _width(psf)
 
 
 def mass_fraction(psf: PsfModel, center: float) -> float:
@@ -282,5 +268,5 @@ def mass_fraction(psf: PsfModel, center: float) -> float:
         s = psf.sigma
         return float(ndtr((1.0 - center) / s) - ndtr(-center / s))
     inside = _quad_unit(lambda x: kernel_value(psf, x - center),
-                        center, psf.fwhm / airy_fwhm_u())
+                        center, _width(psf))
     return inside / total_mass(psf)

@@ -13,7 +13,7 @@ from statres.analysis import (FitResult, SweepSpec, criterion_alpha,
 from statres.exceptions import ParameterError
 from statres.models import NoiseModel
 from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, eval_psf,
-                         psf_second_derivative)
+                         fisher_integral, psf_second_derivative)
 from statres.resolution import ResolutionQuery, detection_boundary
 
 # law coefficients at levels 1, 5 and 10 percent, pinned to two decimals
@@ -99,6 +99,18 @@ def test_hardest_alternative_is_the_centered_pair():
     assert all(r["feasible"] for r in records)
 
 
+def test_hardest_alternative_ties_keep_the_leftmost_offset():
+    # a wide pair under a narrow kernel has its lowest power at both grid
+    # ends; the two agree only up to rounding, and the left end is kept
+    psf = PsfModel.gaussian(0.05024, background=0.5)
+    grid = [k / 100 for k in range(-5, 6)]
+    records, lam_star = hardest_alternative_scan(
+        NoiseModel("hg"), psf, d=0.1829, t=20.0, n=200, alpha=0.1,
+        lambdas=grid)
+    assert lam_star == -0.05
+    assert_allclose(records[0]["power"], records[-1]["power"], rtol=1e-13)
+
+
 def test_hardest_alternative_flags_infeasible_offsets():
     psf = PsfModel.gaussian(0.0849)
     with pytest.warns(Warning):
@@ -148,6 +160,19 @@ def test_riemann_check_converges_to_the_fisher_integral():
     assert gaps[0] > 50.0 * gaps[1] > 50.0 * 50.0 * gaps[2]
     assert_allclose(records[-1]["riemann_sum"], FISHER_LIMIT_SIGMA_01,
                     rtol=1e-4)
+
+
+def test_riemann_check_converges_for_the_airy_kernel():
+    # the closed-form airy h'' integrates bin by bin to the quadrature
+    # tolerance, so the gaps shrink like those of the gaussian kernel
+    psf = PsfModel.airy(0.2, background=0.2)
+    f = lambda x: psf_second_derivative(psf, np.asarray(x) - 0.5)
+    g = lambda x: eval_psf(psf, np.asarray(x) - 0.5)
+    limit = fisher_integral(psf)
+    records = riemann_convergence_check(f, g, (20, 200, 2000), limit=limit)
+    gaps = [r["gap"] for r in records]
+    assert gaps[0] > 50.0 * gaps[1] > 50.0 * 50.0 * gaps[2]
+    assert_allclose(records[-1]["riemann_sum"], limit, rtol=1e-4)
 
 
 def test_riemann_check_validation():

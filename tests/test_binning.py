@@ -12,8 +12,8 @@ from statres.binning import (BinProbabilities, SourceConfig, bin_edges,
                              delta_profile)
 from statres.exceptions import (GeometryError, MassTruncationWarning,
                                 ParameterError)
-from statres.psf import (PsfModel, psf_first_derivative,
-                         psf_second_derivative, psf_fwhm)
+from statres.psf import (PsfModel, mass_fraction, psf_first_derivative,
+                         psf_second_derivative, psf_fwhm, total_mass)
 
 
 def test_source_positions():
@@ -137,6 +137,29 @@ def test_truncation_warning_near_boundary():
     psf = PsfModel.gaussian(0.1)
     with pytest.warns(MassTruncationWarning):
         bin_probabilities(psf, SourceConfig(x0=0.12, d=0.01), 10)
+
+
+@pytest.mark.parametrize("psf", [PsfModel.gaussian(0.1),
+                                 PsfModel.airy(0.05),
+                                 PsfModel.airy(0.2)])
+@pytest.mark.parametrize("x0", [0.5, 0.3, 0.12])
+def test_kernel_bin_sum_is_the_mass_fraction(psf, x0, recwarn):
+    # the truncation check reads the mass inside [0, 1] off the bin sum
+    probs = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), 40)
+    inside = np.sum(probs.p0) / total_mass(psf)
+    assert_allclose(inside, mass_fraction(psf, x0), rtol=1e-10)
+    warned = any(isinstance(w.message, MassTruncationWarning)
+                 for w in recwarn.list)
+    assert warned == (mass_fraction(psf, x0) < 0.99)
+
+
+def test_truncation_warning_for_either_alternative_source():
+    # the null source is contained, the left alternative source is not
+    psf = PsfModel.gaussian(0.05)
+    src = SourceConfig(x0=0.2, d=0.2)
+    assert mass_fraction(psf, src.x0) > 0.99 > mass_fraction(psf, src.x1)
+    with pytest.warns(MassTruncationWarning):
+        bin_probabilities(psf, src, 20)
 
 
 def test_no_truncation_warning_when_contained(recwarn):

@@ -41,8 +41,17 @@ def run(capsys, argv):
 
 def test_parse_grid_forms():
     assert parse_grid("1,2,3") == [1.0, 2.0, 3.0]
-    assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
-    for bad in ("1:2", "a,b", "0.3:0.1:0.1", "1:2:-1"):
+    assert parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+    # ranges are stepped exactly: every point is the double nearest to
+    # lo + k step, and the end point is kept when step divides the span
+    assert parse_grid("0.15:0.25:0.01") == [
+        0.15, 0.16, 0.17, 0.18, 0.19, 0.2, 0.21, 0.22, 0.23, 0.24, 0.25]
+    assert parse_grid("-0.05:0.05:0.01")[5] == 0.0
+    assert parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+    assert parse_grid("0.5:0.5:0.1") == [0.5]
+    for bad in ("1:2", "a,b", "0.3:0.1:0.1", "1:2:-1", "1:2:0", "a:1:0.1",
+                "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e400:1",
+                "0:1:nan", "0:1:1e-9"):
         with pytest.raises(ParameterError):
             parse_grid(bad)
 
@@ -150,11 +159,16 @@ def test_resolve_output_file(capsys, tmp_path):
     meta, _, rows = parse_csv(target.read_text())
     assert meta["command"] == "resolve"
     assert float(rows[0]["d"]) > 0.0
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    code, out, err = run(capsys, ["resolve", "--output", str(missing)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_config_file_precedence(capsys, tmp_path):
     config = tmp_path / "statres.conf"
-    config.write_text("# sweep defaults\nt = 30\nalpha = 0.05\n")
+    # a key of another subcommand (sweep) is allowed and ignored here
+    config.write_text("# sweep defaults\nt = 30\nalpha = 0.05\nsweep = t\n")
     _, out, _ = run(capsys, ["resolve", "--config", str(config)])
     meta, _, _ = parse_csv(out)
     assert meta["t"] == "30.0"
@@ -174,6 +188,30 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("t 30\n")
     code, _, err = run(capsys, ["resolve", "--config", str(bad)])
     assert code == 2 and "expected key = value" in err
+    for command, text, needle in (
+            ("resolve", "tt = 5\n", "'tt'"),
+            ("resolve", "t = abc\n", "t = 'abc'"),
+            ("resolve", "n = 2.5\n", "n = '2.5'"),
+            ("check", "clt = maybe\n", "clt = 'maybe'")):
+        bad.write_text(text)
+        code, out, err = run(capsys, [command, "--config", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+
+def test_config_file_sets_boolean_options(capsys, tmp_path):
+    config = tmp_path / "statres.conf"
+    config.write_text("riemann = true\nn-grid = 20,200\n")
+    code, out, _ = run(capsys, ["check", "--config", str(config)])
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["riemann"] == "true" and meta["clt"] == "false"
+    assert [row["n"] for row in rows] == ["20", "200"]
+    # a false value leaves the check unselected
+    config.write_text("riemann = false\n")
+    code, _, err = run(capsys, ["check", "--config", str(config)])
+    assert code == 2 and "check requires one of" in err
 
 
 def test_seed_environment_fallback(capsys, monkeypatch):
@@ -182,6 +220,10 @@ def test_seed_environment_fallback(capsys, monkeypatch):
     assert parse_csv(out)[0]["seed"] == "7"
     _, out, _ = run(capsys, ["resolve", "--seed", "3"])
     assert parse_csv(out)[0]["seed"] == "3"
+    monkeypatch.setenv("STATRES_SEED", "x")
+    code, out, err = run(capsys, ["resolve"])
+    assert code == 2 and out == ""
+    assert err == "error: bad STATRES_SEED 'x'; want an integer\n"
 
 
 def test_power_vsg_at_the_exact_critical_separation(capsys):

@@ -14,7 +14,7 @@ from statres.psf import (AIRY_TOTAL_MASS_U, GAUSSIAN_FWHM_FACTOR, PsfModel,
                          gaussian_fisher_integral, kernel_value,
                          mass_fraction, numeric_fwhm, psf_first_derivative,
                          psf_fwhm, psf_second_derivative, sted_narrow,
-                         total_mass, _fd_second_derivative)
+                         total_mass)
 
 # frozen high-precision references (30-digit arithmetic, 17 printed)
 AIRY_FWHM_U = 3.2326798966214064
@@ -59,15 +59,6 @@ def test_gaussian_second_derivative_values():
     assert_allclose(psf_second_derivative(psf, 0.1), 0.0, atol=1e-10)
 
 
-def test_finite_difference_matches_analytic_gaussian():
-    psf = PsfModel.gaussian(0.1)
-    u = np.linspace(-0.3, 0.3, 61)
-    fd = _fd_second_derivative(lambda x: kernel_value(psf, x), u,
-                               1e-3 * 0.1)
-    assert_allclose(fd, psf_second_derivative(psf, u), rtol=1e-6,
-                    atol=1e-6 * abs(psf_second_derivative(psf, 0.0)))
-
-
 def test_first_derivative_matches_analytic_gaussian():
     psf = PsfModel.gaussian(0.1)
     u = np.linspace(-0.3, 0.3, 61)
@@ -76,13 +67,43 @@ def test_first_derivative_matches_analytic_gaussian():
 
 
 def test_airy_derivatives_integrate_back():
-    # integral of h'' over [a, b] must equal h'(b) - h'(a)
+    # integral of h'' over [a, b] must equal h'(b) - h'(a), and that of h'
+    # must equal h(b) - h(a)
     psf = PsfModel.airy(0.2)
     a, b = -0.07, 0.11
     value, _ = quad(lambda x: float(psf_second_derivative(psf, x)), a, b,
-                    limit=200)
+                    limit=200, epsabs=0.0, epsrel=1e-13)
     expected = psf_first_derivative(psf, b) - psf_first_derivative(psf, a)
-    assert_allclose(value, expected, rtol=1e-7)
+    assert_allclose(value, expected, rtol=1e-12)
+    value, _ = quad(lambda x: float(psf_first_derivative(psf, x)), a, b,
+                    limit=200, epsabs=0.0, epsrel=1e-13)
+    expected = kernel_value(psf, b) - kernel_value(psf, a)
+    assert_allclose(value, expected, rtol=1e-12)
+
+
+def test_airy_derivatives_are_symmetric():
+    psf = PsfModel.airy(0.2)
+    u = np.linspace(1e-6, 0.8, 4001)
+    assert_allclose(psf_first_derivative(psf, -u),
+                    -psf_first_derivative(psf, u), rtol=1e-13)
+    assert_allclose(psf_second_derivative(psf, -u),
+                    psf_second_derivative(psf, u), rtol=1e-13)
+
+
+def test_airy_derivatives_near_the_peak():
+    # h = g(s u)^2 with g = 1 - v^2/8 + v^4/192 - ..., so near the peak
+    # h' = -s^2 u/2 + 5 s^4 u^3/48 and h'' = -s^2/2 + 5 s^4 u^2/16; the
+    # series error is below 1e-12 relative for s u <= 1e-3
+    psf = PsfModel.airy(0.2)
+    s = airy_fwhm_u() / 0.2
+    u = np.logspace(-14, -3, 45) / s
+    assert_allclose(psf_first_derivative(psf, u),
+                    -s ** 2 * u / 2 + 5 * s ** 4 * u ** 3 / 48, rtol=1e-12)
+    assert_allclose(psf_second_derivative(psf, u),
+                    -s ** 2 / 2 + 5 * s ** 4 * u ** 2 / 16, rtol=1e-12)
+    assert psf_first_derivative(psf, 0.0) == 0.0
+    assert_allclose(psf_second_derivative(psf, 1e-12),
+                    psf_second_derivative(psf, 0.0), rtol=1e-12)
 
 
 def test_gaussian_fwhm_closed_form():
