@@ -33,6 +33,8 @@ CRITERION_RATIOS = {"abbe": 0.5 / 0.51, "rayleigh": 0.61 / 0.51}
 BOUNDARY_COEFF = 2.0 ** 0.25 / math.sqrt(math.log(2.0))
 # powers closer than this are equal to within the bin quadrature's accuracy
 POWER_TIE_TOL = 1e-12
+# largest bin count of a Riemann convergence check, a limit
+MAX_RIEMANN_BINS = 100_000
 
 TABLE1_ALPHAS = (0.01, 0.05, 0.1)
 TABLE2_TIMES = (10, 20, 30, 40, 50)
@@ -94,10 +96,12 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
 
     The grid must be symmetric about zero. Offsets whose sources leave the
     window are skipped and flagged infeasible. Returns the records and the
-    offset of minimal power; the symmetric placement (offset zero) is the
-    hardest alternative. Powers within 1e-12 of each other count as equal
-    and the first offset is kept, so mirror-image offsets, whose powers
-    agree up to rounding, report the leftmost.
+    offset of minimal power. The symmetric placement (offset zero) is the
+    hardest alternative only for d small against the kernel width; for a
+    wider pair an offset that puts one source next to x0 can be harder,
+    so the minimum may sit at the grid ends. Powers within 1e-12 of each
+    other count as equal and the first offset is kept, so mirror-image
+    offsets, whose powers agree up to rounding, report the leftmost.
     """
     lambdas = sorted(float(v) for v in lambdas)
     scale = max(abs(v) for v in lambdas) or 1.0
@@ -152,8 +156,10 @@ def riemann_convergence_check(f: Callable, g: Callable,
                         / float(g(np.asarray([x]))[0]), 0.0, 1.0, limit=200)
     records = []
     for n in n_grid:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ParameterError("n grid entries must be integers >= 1")
+        if not isinstance(n, (int, np.integer)) or \
+                not 1 <= n <= MAX_RIEMANN_BINS:
+            raise ParameterError(
+                f"n grid entries must be integers in [1, {MAX_RIEMANN_BINS}]")
         edges = bin_edges(int(n))
         f_bins = integrate_bins(f, edges)
         g_bins = integrate_bins(g, edges)

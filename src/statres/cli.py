@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import __version__
 from .analysis import (SweepSpec, criterion_alpha, hardest_alternative_scan,
@@ -39,17 +38,15 @@ from .binning import SourceConfig, bin_probabilities
 from .exceptions import (ModelAssumptionError, NoResolutionError,
                          ParameterError, StatresError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, exact_error_rates, hg_mu,
-                     lrt_statistic, mc_error_rates, poisson_clt_report,
-                     sample_observations, vsg_nu)
+from .models import (MODEL_KINDS, THRESHOLD_MODES, NoiseModel, RngState,
+                     analytic_report, exact_error_rates, mc_error_rates,
+                     normality_check)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, eval_psf, fisher_integral,
                   psf_fwhm, psf_second_derivative)
 from .resolution import ResolutionQuery, resolve_query
 
 DEFAULT_SIGMA = 0.2 / GAUSSIAN_FWHM_FACTOR
 DEFAULT_PSF = f"gaussian:{DEFAULT_SIGMA!r}"
-MODEL_CHOICES = ("poisson", "vsg", "hg")
-KS_BOUND = 0.03
 
 DEFAULT_GRIDS = {
     "fwhm": "0.15:0.25:0.01",
@@ -59,9 +56,10 @@ DEFAULT_GRIDS = {
 MAX_GRID_POINTS = 100_000
 
 
-def parse_float_list(text: str) -> list[float]:
+def parse_list(text: str, conv: Callable[[str], object] = float) -> list:
+    """Comma list whose entries conv reads, as for a one-value option."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [conv(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad number list {text!r}") from exc
 
@@ -90,7 +88,7 @@ def parse_grid(text: str) -> list[float]:
                 f"grid {text!r} has {count} points; at most "
                 f"{MAX_GRID_POINTS} allowed")
         return [float(lo + k * step) for k in range(count)]
-    return parse_float_list(text)
+    return parse_list(text)
 
 
 def parse_bool(text: str) -> bool:
@@ -149,6 +147,13 @@ QUERY_OPTS = [
     Opt("q-weight", float, 0.5, "intensity fraction of the left source"),
     Opt("x0", float, 0.5, "null source position"),
     Opt("seed", int, None, "rng seed (default: STATRES_SEED or 0)"),
+]
+
+MODEL_OPT = Opt("model", str, "poisson", "observation model", MODEL_KINDS)
+MC_OPTS = [
+    Opt("reps", int, 10000, "Monte Carlo replications"),
+    Opt("threshold", str, THRESHOLD_MODES[0], "mc threshold mode",
+        THRESHOLD_MODES),
 ]
 
 
@@ -290,44 +295,29 @@ def base_meta(command: str, opts: dict) -> dict:
 
 # ----------------------------------------------------------------- resolve
 
-RESOLVE_OPTS = ([Opt("model", str, "poisson", "observation model",
-                     MODEL_CHOICES)]
+RESOLVE_OPTS = ([MODEL_OPT]
                 + QUERY_OPTS
                 + [Opt("beta", float, 0.1, "target type-II error rate"),
                    Opt("method", str, "asymptotic", "solver",
-                       ("asymptotic", "finite-n", "exact", "mc")),
-                   Opt("reps", int, 10000, "Monte Carlo replications"),
-                   Opt("threshold", str, "analytic", "mc threshold mode",
-                       ("analytic", "h0-calibrated"))]
+                       ("asymptotic", "finite-n", "exact", "mc"))]
+                + MC_OPTS
                 + COMMON_OUTPUT)
-
-RESOLVE_COLUMNS = ["model", "method", "d", "power", "level", "mc_se",
-                   "reps", "seed", "substitution"]
-
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     opts = merge_options(args, RESOLVE_OPTS)
     psf = parse_psf(opts["psf"], background=opts["gamma"])
-    kind = opts["model"]
-    method = opts["method"]
-    substitution = ""
-    # the poisson model has no small-d Gaussian solver of its own; its
-    # large-t reference is the vsg value, recorded as a substitution
-    solver_kind = kind
-    if kind == "poisson" and method in ("finite-n", "exact"):
-        solver_kind = "vsg"
-        substitution = "vsg-solver"
-    model = NoiseModel(solver_kind, thinning=opts["eta"])
+    model = NoiseModel(opts["model"], thinning=opts["eta"])
     query = ResolutionQuery(model=model, psf=psf, x0=opts["x0"],
                             weight_q=opts["q_weight"], n=opts["n"],
                             t=opts["t"], alpha=opts["alpha"],
                             beta=opts["beta"])
-    result = resolve_query(query, method=method, reps=opts["reps"],
+    result = resolve_query(query, method=opts["method"], reps=opts["reps"],
                            rng=RngState(seed=opts["seed"]),
                            threshold_mode=opts["threshold"])
     diag = result.diagnostics
+    substitution = diag.get("substitution", "")
     record = {
-        "model": kind,
+        "model": model.kind,
         "method": result.method,
         "d": result.d,
         "power": (1.0 - diag["beta_hat"] if "beta_hat" in diag
@@ -343,29 +333,22 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     for key in ("note", "converged", "iterations", "expansions", "start"):
         if key in diag:
             meta[key] = diag[key]
-    emit(opts, meta, RESOLVE_COLUMNS, [record])
+    emit(opts, meta, list(record), [record])
     return 0
 
 
 # ------------------------------------------------------------------- power
 
-POWER_OPTS = ([Opt("model", str, "poisson", "observation model",
-                   MODEL_CHOICES),
+POWER_OPTS = ([MODEL_OPT,
                Opt("d", float, None, "source separation (required)")]
               + QUERY_OPTS
               + [Opt("offset-lambda", float, 0.0,
                      "shift of the pair's intensity center"),
                  Opt("method", str, None, "exact, clt or mc "
                      "(default: exact for hg/vsg, clt for poisson)",
-                     ("exact", "clt", "mc")),
-                 Opt("reps", int, 10000, "Monte Carlo replications"),
-                 Opt("threshold", str, "analytic", "mc threshold mode",
-                     ("analytic", "h0-calibrated"))]
+                     ("exact", "clt", "mc"))]
+              + MC_OPTS
               + COMMON_OUTPUT)
-
-POWER_COLUMNS = ["model", "method", "threshold", "level", "power",
-                 "mc_se", "reps", "seed"]
-
 
 def cmd_power(args: argparse.Namespace) -> int:
     opts = merge_options(args, POWER_OPTS)
@@ -386,8 +369,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         if model.kind != "poisson":
             raise UnsupportedMethodError(
                 "the clt method applies to the poisson model only")
-        report = poisson_clt_report(probs, opts["t"], opts["alpha"],
-                                    eta=model.thinning)
+        report = analytic_report(model, probs, opts["t"], opts["alpha"])
     else:
         report = mc_error_rates(model, probs, opts["t"], opts["alpha"],
                                 reps=opts["reps"],
@@ -397,7 +379,7 @@ def cmd_power(args: argparse.Namespace) -> int:
               "threshold": report.threshold, "level": report.level,
               "power": report.power, "mc_se": report.mc_se,
               "reps": report.reps, "seed": opts["seed"]}
-    emit(opts, base_meta("power", opts), POWER_COLUMNS, [record])
+    emit(opts, base_meta("power", opts), list(record), [record])
     return 0
 
 
@@ -414,13 +396,11 @@ SIMULATE_OPTS = ([Opt("sweep", str, "fwhm", "swept variable",
                   Opt("n", int, 20, "bin count when not swept"),
                   Opt("alpha", float, 0.1, "test level (= target beta)"),
                   Opt("method", str, "mc", "per-point solver",
-                      ("mc", "formula")),
-                  Opt("reps", int, 10000, "Monte Carlo replications"),
-                  Opt("threshold", str, "analytic", "mc threshold mode",
-                      ("analytic", "h0-calibrated")),
-                  Opt("threads", int, 1, "worker threads"),
-                  Opt("seed", int, None,
-                      "rng seed (default: STATRES_SEED or 0)")]
+                      ("mc", "formula"))]
+                 + MC_OPTS
+                 + [Opt("threads", int, 1, "worker threads"),
+                    Opt("seed", int, None,
+                        "rng seed (default: STATRES_SEED or 0)")]
                  + COMMON_OUTPUT)
 
 SIMULATE_COLUMNS = ["model", "swept_var", "swept_value", "d", "method",
@@ -467,8 +447,8 @@ TABLES_COLUMNS = ["table", "alpha", "hg", "poisson_vsg", "t", "abbe",
 
 
 def tables_records(opts: dict) -> tuple[list[dict], list[dict]]:
-    alphas = parse_float_list(opts["alphas"])
-    times = parse_float_list(opts["times"])
+    alphas = parse_list(opts["alphas"])
+    times = parse_list(opts["times"])
     rows1 = [{"table": 1, **row} for row in table1(alphas)]
     rows2 = [{"table": 2, "t": t,
               "abbe": criterion_alpha("abbe", t),
@@ -518,8 +498,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 SCAN_OPTS = ([Opt("kind", str, "lambda", "scan variable",
                   ("lambda", "weight")),
-              Opt("model", str, "poisson", "observation model",
-                  MODEL_CHOICES),
+              MODEL_OPT,
               Opt("d", float, 0.1, "source separation (lambda scan)"),
               Opt("grid", str, None, "scan grid (default per kind)"),
               Opt("beta", float, 0.1, "target type-II rate (weight scan)")]
@@ -564,57 +543,23 @@ CHECK_OPTS = ([Opt("clt", parse_bool, False, "poisson CLT normality check"),
               + COMMON_OUTPUT)
 
 
-def _ks_records(model: NoiseModel, psf: PsfModel, opts: dict) -> list[dict]:
-    d = opts["d"] if opts["d"] is not None else 0.5 * psf_fwhm(psf)
-    src = SourceConfig(x0=opts["x0"], d=d, weight_q=opts["q_weight"])
-    probs = bin_probabilities(psf, src, opts["n"])
-    t = opts["t"]
-    rng = RngState(seed=opts["seed"])
-    records = []
-    for side, p in (("null", probs.p0), ("alternative", probs.p1)):
-        tau = model.thinning * t
-        a = (np.log(probs.p1 / probs.p0) if model.kind == "poisson"
-             else None)
-        if model.kind == "poisson":
-            lam = tau * p
-            mean = float(a @ lam)
-            var = float((a * a) @ lam)
-        else:
-            m = (hg_mu(probs, t, model.thinning) if model.kind == "hg"
-                 else vsg_nu(probs, t, model.thinning))
-            mean = -m if side == "null" else m
-            var = 2.0 * m
-        # the draw is dropped once reduced, before the next side's draw
-        stats = lrt_statistic(model, probs, t, sample_observations(
-            model, p, t, rng.generator(0 if side == "null" else 1),
-            reps=opts["reps"]))
-        standardized = (stats - mean) / math.sqrt(var)
-        ks = float(kstest(standardized, "norm").statistic)
-        records.append({"check": f"{model.kind}-normality", "side": side,
-                        "ks_statistic": ks, "bound": KS_BOUND,
-                        "passed": ks <= KS_BOUND, "reps": opts["reps"],
-                        "seed": opts["seed"]})
-    return records
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     opts = merge_options(args, CHECK_OPTS)
     psf = parse_psf(opts["psf"], background=opts["gamma"])
     meta = base_meta("check", opts)
-    if opts["clt"]:
-        records = _ks_records(NoiseModel("poisson", thinning=opts["eta"]),
-                              psf, opts)
-        emit(opts, meta, ["check", "side", "ks_statistic", "bound",
-                          "passed", "reps", "seed"], records)
-        return 0
-    if opts["hg_normality"]:
-        records = _ks_records(NoiseModel("hg", thinning=opts["eta"]),
-                              psf, opts)
-        emit(opts, meta, ["check", "side", "ks_statistic", "bound",
-                          "passed", "reps", "seed"], records)
+    if opts["clt"] or opts["hg_normality"]:
+        model = NoiseModel("poisson" if opts["clt"] else "hg",
+                           thinning=opts["eta"])
+        d = opts["d"] if opts["d"] is not None else 0.5 * psf_fwhm(psf)
+        src = SourceConfig(x0=opts["x0"], d=d, weight_q=opts["q_weight"])
+        probs = bin_probabilities(psf, src, opts["n"])
+        checks = normality_check(model, probs, opts["t"], opts["reps"],
+                                 RngState(seed=opts["seed"]))
+        records = [{**r, "seed": opts["seed"]} for r in checks]
+        emit(opts, meta, list(records[0]), records)
         return 0
     if opts["riemann"]:
-        n_grid = [int(v) for v in parse_float_list(opts["n_grid"])]
+        n_grid = parse_list(opts["n_grid"], int)
         limit = fisher_integral(psf, x0=opts["x0"])
         records = riemann_convergence_check(
             lambda x: psf_second_derivative(psf, x - opts["x0"]),

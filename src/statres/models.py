@@ -25,10 +25,12 @@ is treated by a central-limit report or by Monte Carlo.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+from scipy.stats import kstest
 
 from .binning import BinProbabilities
 from .exceptions import (ModelAssumptionError, ParameterError,
@@ -149,8 +151,21 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
     return out.reshape(p.shape) if reps is None else out
 
 
+def _poisson_bins(probs: BinProbabilities) -> BinProbabilities:
+    """The bins the Poisson LRT uses: a bin without mass under both
+    hypotheses drops out, one without mass under one of them raises."""
+    keep = (probs.p0 != 0.0) | (probs.p1 != 0.0)
+    p0, p1 = probs.p0[keep], probs.p1[keep]
+    if np.any(p0 <= 0.0) or np.any(p1 <= 0.0):
+        raise ModelAssumptionError(
+            "poisson likelihood ratio requires p0 and p1 to be both "
+            "positive or both zero in every bin")
+    return BinProbabilities(n=p0.size, p0=p0, p1=p1)
+
+
 def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
-    """Constant and per-bin coefficient of the LRT statistic T = c + Y @ a."""
+    """Constant and per-bin coefficient of the LRT statistic T = c + Y @ a
+    (0 in a Poisson bin without mass under both hypotheses)."""
     tau = model.thinning * t
     p0, p1 = probs.p0, probs.p1
     if model.kind == "hg":
@@ -163,10 +178,10 @@ def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
         coeff = 2.0 * math.sqrt(tau) * (np.sqrt(p1) - np.sqrt(p0))
         const = 2.0 * tau * (np.sum(p0) - np.sum(p1))
         return const, coeff
-    if np.any(p0 <= 0.0) or np.any(p1 <= 0.0):
-        raise ModelAssumptionError(
-            "poisson likelihood ratio requires strictly positive p0 and p1")
-    return 0.0, np.log(p1 / p0)
+    kept = _poisson_bins(probs)
+    coeff = np.zeros(p0.shape)
+    coeff[(p0 != 0.0) | (p1 != 0.0)] = np.log(kept.p1 / kept.p0)
+    return 0.0, coeff
 
 
 def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
@@ -215,6 +230,23 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError("alpha must lie in (0, 1)")
 
 
+def statistic_moments(model: NoiseModel, probs: BinProbabilities,
+                      t: float) -> tuple[float, float, float, float]:
+    """Mean and variance (e0, v0, e1, v1) of T under the null and the
+    alternative: (-m, 2m, m, 2m) for hg and vsg with m the separation
+    measure, the exact moments of T = sum(Y_i a_i) for poisson."""
+    _check_t(t)
+    if model.kind != "poisson":
+        m = separation_measure(model, probs, t)
+        return -m, 2.0 * m, m, 2.0 * m
+    probs = _poisson_bins(probs)
+    _, a = _statistic_terms(model, probs, t)
+    lam0 = model.thinning * t * probs.p0
+    lam1 = model.thinning * t * probs.p1
+    return (float(a @ lam0), float((a * a) @ lam0),
+            float(a @ lam1), float((a * a) @ lam1))
+
+
 def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
                       alpha: float) -> TestReport:
     """Exact level and power of the level-alpha LRT for hg and vsg.
@@ -223,56 +255,69 @@ def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
     null and N(+m, 2m) under the alternative, so the threshold is
     sqrt(2m) z_(1-alpha) - m and the power is Phi(sqrt(2m) - z_(1-alpha)).
     """
-    _check_t(t)
-    _check_alpha(alpha)
-    m = separation_measure(model, probs, t)
-    z = float(ndtri(1.0 - alpha))
-    threshold = math.sqrt(2.0 * m) * z - m
-    power = float(ndtr(math.sqrt(2.0 * m) - z))
-    return TestReport(threshold=threshold, level=alpha, power=power,
-                      mc_se=0.0, reps=0)
+    if model.kind == "poisson":
+        raise UnsupportedMethodError(
+            "no exact error rates for the poisson model; "
+            "use poisson_clt_report or mc_error_rates")
+    return analytic_report(model, probs, t, alpha)
 
 
 def poisson_clt_report(probs: BinProbabilities, t: float, alpha: float,
                        eta: float = 1.0) -> TestReport:
-    """Normal-approximation level and power of the Poisson LRT.
-
-    Uses the exact mean and variance of T = sum(Y_i a_i) with
-    a_i = log(p1_i / p0_i) under both hypotheses. A degenerate alternative
-    (p1 identical to p0) reports power = alpha by convention.
-    """
-    _check_t(t)
-    _check_alpha(alpha)
-    if np.any(probs.p0 <= 0.0) or np.any(probs.p1 <= 0.0):
-        raise ModelAssumptionError(
-            "poisson likelihood ratio requires strictly positive p0 and p1")
-    tau = eta * t
-    a = np.log(probs.p1 / probs.p0)
-    lam0 = tau * probs.p0
-    lam1 = tau * probs.p1
-    e0 = float(a @ lam0)
-    v0 = float((a * a) @ lam0)
-    if v0 == 0.0:
-        return TestReport(threshold=e0, level=alpha, power=alpha,
-                          mc_se=0.0, reps=0)
-    e1 = float(a @ lam1)
-    v1 = float((a * a) @ lam1)
-    z = float(ndtri(1.0 - alpha))
-    threshold = z * math.sqrt(v0) + e0
-    power = 1.0 - float(ndtr((threshold - e1) / math.sqrt(v1)))
-    return TestReport(threshold=threshold, level=alpha, power=power,
-                      mc_se=0.0, reps=0)
+    """Normal-approximation level and power of the Poisson LRT, from the
+    exact moments of T. A degenerate alternative (p1 identical to p0)
+    reports power = alpha by convention."""
+    return analytic_report(NoiseModel("poisson", thinning=eta), probs, t,
+                           alpha)
 
 
 def analytic_report(model: NoiseModel, probs: BinProbabilities, t: float,
                     alpha: float) -> TestReport:
     """Closed-form report: exact for hg/vsg, CLT for poisson."""
-    if model.kind == "poisson":
-        return poisson_clt_report(probs, t, alpha, eta=model.thinning)
-    return exact_error_rates(model, probs, t, alpha)
+    _check_alpha(alpha)
+    e0, v0, e1, v1 = statistic_moments(model, probs, t)
+    z = float(ndtri(1.0 - alpha))
+    threshold = z * math.sqrt(v0) + e0
+    if model.kind != "poisson":
+        power = float(ndtr(math.sqrt(v0) - z))
+    elif v0 == 0.0:
+        power = alpha
+    else:
+        power = 1.0 - float(ndtr((threshold - e1) / math.sqrt(v1)))
+    return TestReport(threshold=threshold, level=alpha, power=power)
 
 
 THRESHOLD_MODES = ("analytic", "h0-calibrated")
+# largest Kolmogorov-Smirnov distance a normality check accepts
+KS_BOUND = 0.03
+
+
+def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
+                   side: int, reps: int,
+                   generator: np.random.Generator) -> np.ndarray:
+    """T for reps records drawn under the null (side 0) or the alternative
+    (side 1); the records are dropped once reduced."""
+    if reps < 100:
+        raise ParameterError("reps must be >= 100")
+    if model.kind == "poisson":
+        probs = _poisson_bins(probs)
+    return lrt_statistic(model, probs, t, sample_observations(
+        model, probs.p1 if side else probs.p0, t, generator, reps=reps))
+
+
+def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,
+                 alpha: float, mode: str,
+                 null: Callable[[], np.ndarray]) -> float:
+    """Rejection threshold of the level-alpha LRT: closed-form (CLT for
+    poisson) in "analytic" mode, else the empirical (1 - alpha) quantile
+    of the null statistics ``null()`` draws."""
+    _check_alpha(alpha)
+    if mode == THRESHOLD_MODES[0]:
+        return analytic_report(model, probs, t, alpha).threshold
+    if mode not in THRESHOLD_MODES:
+        raise ParameterError(f"unknown threshold mode {mode!r}")
+    t0 = null()
+    return float(np.sort(t0)[int(math.ceil((1.0 - alpha) * t0.size)) - 1])
 
 
 def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
@@ -281,31 +326,36 @@ def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
                    threshold_mode: str = "analytic") -> TestReport:
     """Monte Carlo level and power of the level-alpha LRT.
 
-    threshold_mode "analytic" takes the closed-form threshold (CLT for
-    poisson); "h0-calibrated" takes the empirical (1 - alpha) quantile of
-    a fresh null batch, making the level alpha by construction up to
-    quantile granularity. Null and alternative batches use separate
-    substreams of the RngState.
+    The threshold is closed-form or calibrated on the null batch
+    (``mc_threshold``), which makes the level alpha up to quantile
+    granularity. Null and alternative batches use substreams 0 and 1 of
+    the RngState.
     """
-    _check_t(t)
-    _check_alpha(alpha)
-    if reps < 100:
-        raise ParameterError("reps must be >= 100")
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ParameterError(f"unknown threshold mode {threshold_mode!r}")
-    if rng is None:
-        rng = RngState()
-    t0 = lrt_statistic(model, probs, t, sample_observations(
-        model, probs.p0, t, rng.generator(0), reps=reps))
-    if threshold_mode == "analytic":
-        threshold = analytic_report(model, probs, t, alpha).threshold
-    else:
-        order = int(math.ceil((1.0 - alpha) * reps))
-        threshold = float(np.sort(t0)[order - 1])
+    rng = rng or RngState()
+    t0 = draw_statistic(model, probs, t, 0, reps, rng.generator(0))
+    threshold = mc_threshold(model, probs, t, alpha, threshold_mode,
+                             lambda: t0)
     level = float(np.mean(t0 > threshold))
-    t1 = lrt_statistic(model, probs, t, sample_observations(
-        model, probs.p1, t, rng.generator(1), reps=reps))
+    t1 = draw_statistic(model, probs, t, 1, reps, rng.generator(1))
     power = float(np.mean(t1 > threshold))
     mc_se = math.sqrt(power * (1.0 - power) / reps)
-    return TestReport(threshold=float(threshold), level=level, power=power,
+    return TestReport(threshold=threshold, level=level, power=power,
                       mc_se=mc_se, reps=reps)
+
+
+def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
+                    reps: int, rng: RngState) -> list[dict]:
+    """Kolmogorov-Smirnov distance from N(0, 1) of T drawn under the null
+    (substream 0 of rng) and the alternative (1), each standardized by its
+    exact moments; a side passes at a distance of at most KS_BOUND."""
+    e0, v0, e1, v1 = statistic_moments(model, probs, t)
+    records = []
+    for side, mean, var in ((0, e0, v0), (1, e1, v1)):
+        stats = draw_statistic(model, probs, t, side, reps,
+                               rng.generator(side))
+        ks = float(kstest((stats - mean) / math.sqrt(var), "norm").statistic)
+        records.append({"check": f"{model.kind}-normality",
+                        "side": ("null", "alternative")[side],
+                        "ks_statistic": ks, "bound": KS_BOUND,
+                        "passed": ks <= KS_BOUND, "reps": reps})
+    return records

@@ -34,8 +34,8 @@ from .binning import SourceConfig, bin_curvature_integrals, bin_probabilities
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, analytic_report, lrt_statistic,
-                     sample_observations)
+from .models import (NoiseModel, RngState, analytic_report, draw_statistic,
+                     mc_threshold)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -147,16 +147,22 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
             "finite-n resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
     tau = query.model.thinning * query.t
-    curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
     if query.model.kind == "hg":
+        curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
         bin_sum = float(curvature_bins @ curvature_bins)
         d = _prefactor(query) * bin_sum ** -0.25 / math.sqrt(tau)
     else:
-        null = bin_probabilities(
-            query.psf, SourceConfig(x0=query.x0, d=0.0), query.n).p0
-        bin_sum = float(np.sum(curvature_bins ** 2 / null))
+        bin_sum = _vsg_bin_sum(query.psf, query.x0, query.n)
         d = _prefactor(query) * bin_sum ** -0.25 * tau ** -0.25
     return _checked_result(d, "finite_n", {"bin_sum": bin_sum})
+
+
+def _vsg_bin_sum(psf: PsfModel, x0: float, n: int) -> float:
+    """sum_i (int_i h'')^2 / p0_i: the n-bin form of the vsg information
+    integral, with the pedestal of ``psf`` in the null profile p0."""
+    curvature_bins = bin_curvature_integrals(psf, x0, n)
+    null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
+    return float(np.sum(curvature_bins ** 2 / null))
 
 
 def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
@@ -269,35 +275,21 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     d_a and the trajectory of (d, beta_hat) per probe, whose length is
     1 + expansions + iterations.
     """
-    if reps < 100:
-        raise ParameterError("reps must be >= 100")
-    if threshold_mode not in ("analytic", "h0-calibrated"):
-        raise ParameterError(f"unknown threshold mode {threshold_mode!r}")
-    if rng is None:
-        rng = RngState()
+    rng = rng or RngState()
     band_lo = 0.95 * query.beta
     band_hi = 1.05 * query.beta
     trajectory: list[tuple[float, float]] = []
+    model, t = query.model, query.t
 
     def type2(d: float, phase: int, iteration: int) -> float:
         src = SourceConfig(x0=query.x0, d=d, weight_q=query.weight_q)
         probs = bin_probabilities(query.psf, src, query.n)
-        if threshold_mode == "h0-calibrated":
-            t0 = lrt_statistic(query.model, probs, query.t,
-                               sample_observations(
-                                   query.model, probs.p0, query.t,
-                                   rng.generator(phase, iteration, 0),
-                                   reps=reps))
-            order = int(math.ceil((1.0 - query.alpha) * reps))
-            threshold = float(np.sort(t0)[order - 1])
-        else:
-            threshold = analytic_report(
-                query.model, probs, query.t, query.alpha).threshold
-        t1 = lrt_statistic(query.model, probs, query.t,
-                           sample_observations(
-                               query.model, probs.p1, query.t,
-                               rng.generator(phase, iteration, 1),
-                               reps=reps))
+        threshold = mc_threshold(
+            model, probs, t, query.alpha, threshold_mode,
+            lambda: draw_statistic(model, probs, t, 0, reps,
+                                   rng.generator(phase, iteration, 0)))
+        t1 = draw_statistic(model, probs, t, 1, reps,
+                            rng.generator(phase, iteration, 1))
         beta_hat = float(np.mean(t1 <= threshold))
         trajectory.append((d, beta_hat))
         return beta_hat
@@ -377,10 +369,7 @@ def acuna_power(psf: PsfModel, x0: float, gamma: float, n: int, t: float,
         raise ParameterError("separation d must be >= 0")
     if not t >= 1.0:
         raise ParameterError("illumination time t must be >= 1")
-    pedestal = replace(psf, background=gamma)
-    curvature_bins = bin_curvature_integrals(psf, x0, n)
-    null = bin_probabilities(pedestal, SourceConfig(x0=x0, d=0.0), n).p0
-    bin_sum = float(np.sum(curvature_bins ** 2 / null))
+    bin_sum = _vsg_bin_sum(replace(psf, background=gamma), x0, n)
     shift = math.sqrt(bin_sum) * d * d * math.sqrt(t) / 8.0
     return float(ndtr(float(ndtri(alpha)) + shift))
 
@@ -414,7 +403,16 @@ def detection_boundary(model: NoiseModel, fwhm: float, t: float, n: int,
 def resolve_query(query: ResolutionQuery, method: str = "asymptotic",
                   reps: int = 10000, rng: RngState | None = None,
                   threshold_mode: str = "analytic") -> ResolutionResult:
-    """Dispatch a query to the named method."""
+    """Dispatch a query to the named method.
+
+    finite-n and exact answer a poisson query with the vsg value, its
+    large-t reference, and set ``diagnostics["substitution"]``.
+    """
+    if query.model.kind == "poisson" and method in ("finite-n", "exact"):
+        vsg = replace(query, model=replace(query.model, kind="vsg"))
+        result = resolve_query(vsg, method)
+        result.diagnostics["substitution"] = "vsg-solver"
+        return result
     if method == "asymptotic":
         return asymptotic_resolution(query)
     if method == "finite-n":

@@ -373,6 +373,30 @@ def test_check_riemann_gaps_shrink(capsys):
     assert all(r["passed"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("entry", ["2.5", "nan", "inf", "1e30",
+                                   "1000000000"])
+def test_check_riemann_rejects_bad_bin_counts(capsys, entry):
+    code, out, err = run(capsys, ["check", "--riemann",
+                                  "--n-grid", f"{entry},20"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--psf", "gaussian:0.01", "--d", "0.02"],
+    ["power", "--psf", "gaussian:0.01", "--d", "0.02", "--method", "mc",
+     "--reps", "1000"],
+    ["check", "--clt", "--psf", "gaussian:0.01"],
+])
+def test_narrow_kernel_bins_without_mass_drop_out(capsys, argv):
+    # the far bins of a narrow kernel underflow to p0 = p1 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert parse_csv(out)[2]
+
+
 def test_check_requires_a_mode(capsys):
     code, _, err = run(capsys, ["check"])
     assert code == 2 and "requires one of" in err

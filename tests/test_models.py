@@ -13,10 +13,11 @@ from statres.binning import (BinProbabilities, SourceConfig,
 from statres.exceptions import (ModelAssumptionError, ParameterError,
                                 UnsupportedMethodError)
 from statres.models import (MODEL_KINDS, NoiseModel, RngState,
-                            analytic_report, exact_error_rates, hg_mu,
-                            lrt_statistic, mc_error_rates, normal_cdf,
-                            normal_quantile, poisson_clt_report,
-                            sample_observations, separation_measure, vsg_nu)
+                            analytic_report, draw_statistic,
+                            exact_error_rates, hg_mu, lrt_statistic,
+                            mc_error_rates, normal_cdf, normal_quantile,
+                            poisson_clt_report, sample_observations,
+                            separation_measure, statistic_moments, vsg_nu)
 from statres.psf import PsfModel
 
 # high-precision quantile references (30-digit evaluation, rounded)
@@ -193,6 +194,69 @@ def test_poisson_statistic_needs_positive_probabilities():
                              p1=np.array([0.6, 0.0]))
     with pytest.raises(ModelAssumptionError):
         lrt_statistic(NoiseModel("poisson"), probs, 10.0, np.ones(2))
+
+
+def pad_with_empty_bins(probs, left=3, right=2):
+    """The same profile with bins of zero mass under both hypotheses."""
+    def pad(p):
+        return np.concatenate([np.zeros(left), p, np.zeros(right)])
+    return BinProbabilities(n=probs.n + left + right, p0=pad(probs.p0),
+                            p1=pad(probs.p1))
+
+
+def test_poisson_drops_bins_without_mass():
+    # a bin with p0 = p1 = 0 never records a photon: the report, the
+    # Monte Carlo draw and the statistic ignore it
+    probs = make_probs(d=0.12, gamma=0.2)
+    padded = pad_with_empty_bins(probs)
+    model = NoiseModel("poisson")
+    assert poisson_clt_report(padded, 20.0, 0.1) == \
+        poisson_clt_report(probs, 20.0, 0.1)
+    for mode in ("analytic", "h0-calibrated"):
+        assert mc_error_rates(model, padded, 20.0, 0.1, reps=500,
+                              rng=RngState(seed=3),
+                              threshold_mode=mode) == \
+            mc_error_rates(model, probs, 20.0, 0.1, reps=500,
+                           rng=RngState(seed=3), threshold_mode=mode)
+    y = sample_observations(model, probs.p1, 20.0, RngState(seed=5), reps=4)
+    assert np.array_equal(
+        lrt_statistic(model, padded, 20.0,
+                      np.pad(y, ((0, 0), (3, 2)))),
+        lrt_statistic(model, probs, 20.0, y))
+
+
+def test_poisson_bin_without_mass_under_one_hypothesis_raises():
+    probs = BinProbabilities(n=3, p0=np.array([0.5, 0.5, 0.0]),
+                             p1=np.array([0.4, 0.5, 0.1]))
+    with pytest.raises(ModelAssumptionError):
+        poisson_clt_report(probs, 20.0, 0.1)
+    with pytest.raises(ModelAssumptionError):
+        mc_error_rates(NoiseModel("poisson"), probs, 20.0, 0.1, reps=100)
+
+
+@pytest.mark.parametrize("kind", ["hg", "vsg"])
+def test_statistic_moments_of_the_gaussian_models(kind):
+    probs = make_probs(d=0.13, gamma=0.4)
+    model = NoiseModel(kind, thinning=0.7)
+    m = separation_measure(model, probs, 30.0)
+    assert_allclose(statistic_moments(model, probs, 30.0),
+                    (-m, 2.0 * m, m, 2.0 * m), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_statistic_moments_match_simulation(kind):
+    probs = make_probs(d=0.15, gamma=0.2)
+    model = NoiseModel(kind, thinning=0.8)
+    t, reps = 25.0, 40000
+    moments = statistic_moments(model, probs, t)
+    for side in (0, 1):
+        mean, var = moments[2 * side], moments[2 * side + 1]
+        stats = draw_statistic(model, probs, t, side, reps,
+                               RngState(seed=11).generator(side))
+        centered = stats - stats.mean()
+        var_se = math.sqrt(np.mean(centered ** 4) - var ** 2) / math.sqrt(reps)
+        assert abs(stats.mean() - mean) < 4.0 * math.sqrt(var / reps)
+        assert abs(stats.var() - var) < 4.0 * var_se
 
 
 def test_separation_measures_vanish_at_zero_separation():

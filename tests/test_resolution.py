@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import statres.models as models
 import statres.resolution as resolution
 from statres.exceptions import (ConvergenceWarning, GeometryError,
                                 NoResolutionError, ParameterError,
@@ -134,6 +135,15 @@ def test_finite_n_rejects_poisson():
         exact_resolution(make_query("poisson"))
 
 
+@pytest.mark.parametrize("method", ["finite-n", "exact"])
+def test_resolve_query_substitutes_vsg_for_poisson(method):
+    poisson = resolve_query(make_query("poisson", gamma=0.3), method)
+    vsg = resolve_query(make_query("vsg", gamma=0.3), method)
+    assert poisson.d == vsg.d
+    assert poisson.diagnostics["substitution"] == "vsg-solver"
+    assert "substitution" not in vsg.diagnostics
+
+
 def test_exact_resolution_reaches_the_requested_power():
     for kind in ("vsg", "hg"):
         for alpha, beta in ((0.1, 0.1), (0.05, 0.2)):
@@ -176,8 +186,8 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     # no analytic crossing below the cap: the Monte Carlo search starts
     # at the cap and gives up after its first draw
     draws = []
-    original = resolution.sample_observations
-    monkeypatch.setattr(resolution, "sample_observations",
+    original = models.sample_observations
+    monkeypatch.setattr(models, "sample_observations",
                         lambda *a, **k: draws.append(1) or original(*a, **k))
     with pytest.warns(Warning):
         with pytest.raises(NoResolutionError):
