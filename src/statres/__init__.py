@@ -15,7 +15,7 @@ from .analysis import (FitResult, SweepSpec, criterion_alpha,
                        simulation_sweep, sted_improvement, table1,
                        weight_scan)
 from .binning import (BinProbabilities, SourceConfig, bin_curvature_integrals,
-                      bin_probabilities, delta_profile)
+                      bin_information_sum, bin_probabilities, delta_profile)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          MassTruncationWarning,
                          ModelAssumptionError, NoResolutionError,
@@ -41,7 +41,8 @@ __all__ = [
     "NoResolutionError", "ParameterError", "PsfModel", "ResolutionQuery",
     "ResolutionResult", "RngState", "SourceConfig", "StatresError",
     "SweepSpec", "TestReport", "UnsupportedMethodError", "acuna_power",
-    "asymptotic_resolution", "bin_curvature_integrals", "bin_probabilities",
+    "asymptotic_resolution", "bin_curvature_integrals",
+    "bin_information_sum", "bin_probabilities",
     "criterion_alpha", "delta_profile", "detection_boundary",
     "eval_psf", "exact_error_rates", "exact_resolution",
     "finite_n_resolution", "gaussian_curvature_integral",

@@ -4,7 +4,8 @@ This layer turns the solvers into the package's headline outputs: the
 coefficient table of the two resolution laws, the error levels at which
 the classical Abbe and Rayleigh distances become resolvable, the STED
 improvement factor, scans over the alternative's nuisance parameters,
-a Riemann-sum convergence diagnostic, and log-log power-law fits to
+a convergence diagnostic of the n-bin information sum (the one the
+finite-n solver uses) towards its integral, and log-log power-law fits to
 simulated resolution curves.
 """
 
@@ -13,17 +14,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .binning import SourceConfig, bin_edges, bin_probabilities
+from .binning import SourceConfig, bin_information_sum, bin_probabilities
 from .exceptions import GeometryError, ParameterError
 from .models import NoiseModel, RngState, analytic_report
-from .psf import PsfModel
-from .quadrature import integrate_bins
+from .psf import PsfModel, fisher_integral
 from .resolution import (ResolutionQuery, asymptotic_resolution,
                          detection_boundary, mc_resolution)
 
@@ -31,7 +30,7 @@ from .resolution import (ResolutionQuery, asymptotic_resolution,
 # Rayleigh 0.61 * fwhm / 0.51, against the boundary C sqrt(z) t^(-1/4) fwhm
 CRITERION_RATIOS = {"abbe": 0.5 / 0.51, "rayleigh": 0.61 / 0.51}
 BOUNDARY_COEFF = 2.0 ** 0.25 / math.sqrt(math.log(2.0))
-# powers closer than this are equal to within the bin quadrature's accuracy
+# powers closer than this are equal to within the bin integrals' accuracy
 POWER_TIE_TOL = 1e-12
 # largest bin count of a Riemann convergence check, a limit
 MAX_RIEMANN_BINS = 100_000
@@ -142,33 +141,28 @@ def weight_scan(query: ResolutionQuery,
     return records
 
 
-def riemann_convergence_check(f: Callable, g: Callable,
-                              n_grid: Sequence[int],
-                              limit: float | None = None) -> list[dict]:
-    """Convergence of sum_i (int_i f)^2 / int_i g to int f^2 / g on [0, 1].
+def riemann_convergence_check(psf: PsfModel, n_grid: Sequence[int],
+                              x0: float = 0.5) -> tuple[list[dict], float]:
+    """Convergence of the n-bin information sum to its integral.
 
-    f and g are vectorized callables; g must be strictly positive. Each
-    record reports the n-bin Riemann form and its gap to the limit
-    (computed by adaptive quadrature when not supplied).
+    Each record holds n, ``bin_information_sum(psf, x0, n)`` (the finite-n
+    solver's sum; bins without null mass drop out), its gap to the limit
+    ``fisher_integral(psf, x0)`` and whether that gap shrank from the
+    previous record's (the first passes). x0 must lie in (0, 1). Returns
+    the records and the limit.
     """
-    if limit is None:
-        limit, _ = quad(lambda x: float(f(np.asarray([x]))[0]) ** 2
-                        / float(g(np.asarray([x]))[0]), 0.0, 1.0, limit=200)
+    if not all(isinstance(n, (int, np.integer)) and
+               1 <= n <= MAX_RIEMANN_BINS for n in n_grid):
+        raise ParameterError(
+            f"n grid entries must be integers in [1, {MAX_RIEMANN_BINS}]")
+    sums = [bin_information_sum(psf, x0, int(n)) for n in n_grid]
+    limit = fisher_integral(psf, x0=x0)
     records = []
-    for n in n_grid:
-        if not isinstance(n, (int, np.integer)) or \
-                not 1 <= n <= MAX_RIEMANN_BINS:
-            raise ParameterError(
-                f"n grid entries must be integers in [1, {MAX_RIEMANN_BINS}]")
-        edges = bin_edges(int(n))
-        f_bins = integrate_bins(f, edges)
-        g_bins = integrate_bins(g, edges)
-        if np.any(g_bins <= 0.0):
-            raise ParameterError("g must be strictly positive on [0, 1]")
-        value = float(np.sum(f_bins ** 2 / g_bins))
-        records.append({"n": int(n), "riemann_sum": value,
-                        "gap": abs(value - limit)})
-    return records
+    for n, value in zip(n_grid, sums):
+        gap = abs(value - limit)
+        records.append({"n": int(n), "riemann_sum": value, "gap": gap,
+                        "passed": not records or gap < records[-1]["gap"]})
+    return records, limit
 
 
 SWEPT_VARS = ("fwhm", "t", "n")
@@ -203,9 +197,14 @@ class SweepSpec:
             raise ParameterError("sweep grid values must be > 0")
         if self.method not in ("mc", "formula"):
             raise ParameterError(f"unknown sweep method {self.method!r}")
+        if not self.models or len(set(self.models)) < len(self.models):
+            raise ParameterError(
+                f"sweep needs distinct models, got {list(self.models)}")
         for kind in self.models:
             if kind not in ("poisson", "vsg", "hg"):
                 raise ParameterError(f"unknown model kind {kind!r}")
+        if self.threads < 1:
+            raise ParameterError("threads must be >= 1")
 
 
 @dataclass(frozen=True)

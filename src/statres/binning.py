@@ -144,3 +144,17 @@ def bin_curvature_integrals(psf: PsfModel, x0: float, n: int) -> np.ndarray:
         raise ParameterError("bin count n must be an integer >= 1")
     slopes = psf_first_derivative(psf, bin_edges(n) - x0)
     return np.diff(slopes)
+
+
+def bin_information_sum(psf: PsfModel, x0: float, n: int) -> float:
+    """sum_i (int_i h'')^2 / p0_i, the n-bin form of the information
+    integral of h''^2 / (h + background) over [0, 1].
+
+    p0 is the null profile of a source at x0, pedestal included. A bin
+    without null mass (the underflowed tail of a narrow kernel) drops out,
+    as it does from the poisson statistic.
+    """
+    curvature_bins = bin_curvature_integrals(psf, x0, n)
+    null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
+    mass = null > 0.0
+    return float(np.sum(curvature_bins[mass] ** 2 / null[mass]))

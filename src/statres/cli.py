@@ -35,14 +35,12 @@ from .analysis import (SweepSpec, criterion_alpha, hardest_alternative_scan,
                        riemann_convergence_check, simulation_sweep, table1,
                        weight_scan)
 from .binning import SourceConfig, bin_probabilities
-from .exceptions import (ModelAssumptionError, NoResolutionError,
-                         ParameterError, StatresError,
+from .exceptions import (ParameterError, StatresError,
                          UnsupportedMethodError)
 from .models import (MODEL_KINDS, THRESHOLD_MODES, NoiseModel, RngState,
                      analytic_report, exact_error_rates, mc_error_rates,
                      normality_check)
-from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, eval_psf, fisher_integral,
-                  psf_fwhm, psf_second_derivative)
+from .psf import GAUSSIAN_FWHM_FACTOR, PsfModel, psf_fwhm
 from .resolution import ResolutionQuery, resolve_query
 
 DEFAULT_SIGMA = 0.2 / GAUSSIAN_FWHM_FACTOR
@@ -545,36 +543,30 @@ CHECK_OPTS = ([Opt("clt", parse_bool, False, "poisson CLT normality check"),
 
 def cmd_check(args: argparse.Namespace) -> int:
     opts = merge_options(args, CHECK_OPTS)
+    modes = [f"--{name}" for name in ("clt", "hg-normality", "riemann")
+             if opts[name.replace("-", "_")]]
+    if len(modes) != 1:
+        raise ParameterError(
+            "check requires one of --clt, --hg-normality, --riemann"
+            + (f"; got {', '.join(modes)}" if modes else ""))
     psf = parse_psf(opts["psf"], background=opts["gamma"])
     meta = base_meta("check", opts)
-    if opts["clt"] or opts["hg_normality"]:
-        model = NoiseModel("poisson" if opts["clt"] else "hg",
-                           thinning=opts["eta"])
-        d = opts["d"] if opts["d"] is not None else 0.5 * psf_fwhm(psf)
-        src = SourceConfig(x0=opts["x0"], d=d, weight_q=opts["q_weight"])
-        probs = bin_probabilities(psf, src, opts["n"])
-        checks = normality_check(model, probs, opts["t"], opts["reps"],
-                                 RngState(seed=opts["seed"]))
-        records = [{**r, "seed": opts["seed"]} for r in checks]
-        emit(opts, meta, list(records[0]), records)
-        return 0
     if opts["riemann"]:
-        n_grid = parse_list(opts["n_grid"], int)
-        limit = fisher_integral(psf, x0=opts["x0"])
-        records = riemann_convergence_check(
-            lambda x: psf_second_derivative(psf, x - opts["x0"]),
-            lambda x: eval_psf(psf, x - opts["x0"]),
-            n_grid, limit=limit)
-        rows = [{"check": "riemann-sum", **r} for r in records]
-        gaps = [r["gap"] for r in records]
-        for i, row in enumerate(rows):
-            row["passed"] = i == 0 or gaps[i] < gaps[i - 1]
-        meta["limit"] = limit
+        records, meta["limit"] = riemann_convergence_check(
+            psf, parse_list(opts["n_grid"], int), x0=opts["x0"])
         emit(opts, meta, ["check", "n", "riemann_sum", "gap", "passed"],
-             rows)
+             [{"check": "riemann-sum", **r} for r in records])
         return 0
-    raise ParameterError("check requires one of --clt, --hg-normality, "
-                         "--riemann")
+    model = NoiseModel("poisson" if opts["clt"] else "hg",
+                       thinning=opts["eta"])
+    d = opts["d"] if opts["d"] is not None else 0.5 * psf_fwhm(psf)
+    src = SourceConfig(x0=opts["x0"], d=d, weight_q=opts["q_weight"])
+    probs = bin_probabilities(psf, src, opts["n"])
+    checks = normality_check(model, probs, opts["t"], opts["reps"],
+                             RngState(seed=opts["seed"]))
+    records = [{**r, "seed": opts["seed"]} for r in checks]
+    emit(opts, meta, list(records[0]), records)
+    return 0
 
 
 # -------------------------------------------------------------------- main
@@ -616,15 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoResolutionError as exc:
+    except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ModelAssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ParameterError, StatresError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Exception and warning types shared across the package.
 
-The CLI maps these onto process exit codes: ParameterError (and its
-subclasses) exit 2, NoResolutionError exit 3, ModelAssumptionError exit 4.
+Each error class carries the process exit code the CLI ends with.
 """
 
 
 class StatresError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ParameterError(StatresError):
@@ -24,9 +25,13 @@ class UnsupportedMethodError(ParameterError):
 class NoResolutionError(StatresError):
     """No separation in the admissible range reaches the requested power."""
 
+    exit_code = 3
+
 
 class ModelAssumptionError(StatresError):
     """Data or probabilities violate an assumption of the noise model."""
+
+    exit_code = 4
 
 
 class MassTruncationWarning(UserWarning):

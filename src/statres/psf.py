@@ -73,13 +73,13 @@ class PsfModel:
         if self.kind not in ("gaussian", "airy"):
             raise ParameterError(f"unknown psf kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.sigma is None or not self.sigma > 0.0:
-                raise ParameterError("gaussian psf requires sigma > 0")
+            if self.sigma is None or not 0.0 < self.sigma < math.inf:
+                raise ParameterError("gaussian psf requires finite sigma > 0")
         else:
-            if self.fwhm is None or not self.fwhm > 0.0:
-                raise ParameterError("airy psf requires fwhm > 0")
-        if not self.background >= 0.0:
-            raise ParameterError("background must be >= 0")
+            if self.fwhm is None or not 0.0 < self.fwhm < math.inf:
+                raise ParameterError("airy psf requires finite fwhm > 0")
+        if not 0.0 <= self.background < math.inf:
+            raise ParameterError("background must be finite and >= 0")
 
     @classmethod
     def gaussian(cls, sigma: float, background: float = 0.0) -> "PsfModel":

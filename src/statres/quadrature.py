@@ -78,8 +78,3 @@ def _refine(func, lo, hi, tol, depth):
     refined_right = _refine(func, mid[bad], hi[bad], 0.5 * tol, depth - 1)
     result[bad] = refined_left + refined_right
     return result
-
-
-def integrate(func, lo: float, hi: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive GL integral of a vectorized callable over one interval."""
-    return float(integrate_bins(func, np.array([lo, hi]), tol=tol)[0])

@@ -30,7 +30,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .binning import SourceConfig, bin_curvature_integrals, bin_probabilities
+from .binning import (SourceConfig, bin_curvature_integrals,
+                      bin_information_sum, bin_probabilities)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -150,19 +151,12 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
     if query.model.kind == "hg":
         curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
         bin_sum = float(curvature_bins @ curvature_bins)
-        d = _prefactor(query) * bin_sum ** -0.25 / math.sqrt(tau)
     else:
-        bin_sum = _vsg_bin_sum(query.psf, query.x0, query.n)
-        d = _prefactor(query) * bin_sum ** -0.25 * tau ** -0.25
+        bin_sum = bin_information_sum(query.psf, query.x0, query.n)
+    # a kernel too narrow for the bins leaves no information: d is infinite
+    d = _prefactor(query) * (bin_sum ** -0.25 if bin_sum > 0.0 else math.inf)
+    d = d / math.sqrt(tau) if query.model.kind == "hg" else d * tau ** -0.25
     return _checked_result(d, "finite_n", {"bin_sum": bin_sum})
-
-
-def _vsg_bin_sum(psf: PsfModel, x0: float, n: int) -> float:
-    """sum_i (int_i h'')^2 / p0_i: the n-bin form of the vsg information
-    integral, with the pedestal of ``psf`` in the null profile p0."""
-    curvature_bins = bin_curvature_integrals(psf, x0, n)
-    null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
-    return float(np.sum(curvature_bins ** 2 / null))
 
 
 def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
@@ -369,7 +363,7 @@ def acuna_power(psf: PsfModel, x0: float, gamma: float, n: int, t: float,
         raise ParameterError("separation d must be >= 0")
     if not t >= 1.0:
         raise ParameterError("illumination time t must be >= 1")
-    bin_sum = _vsg_bin_sum(replace(psf, background=gamma), x0, n)
+    bin_sum = bin_information_sum(replace(psf, background=gamma), x0, n)
     shift = math.sqrt(bin_sum) * d * d * math.sqrt(t) / 8.0
     return float(ndtr(float(ndtri(alpha)) + shift))
 

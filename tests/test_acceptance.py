@@ -20,7 +20,7 @@ from statres.binning import SourceConfig, bin_probabilities
 from statres.cli import main
 from statres.models import NoiseModel, RngState, exact_error_rates, \
     mc_error_rates
-from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, eval_psf,
+from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel,
                          gaussian_curvature_integral,
                          gaussian_fisher_integral, kernel_value,
                          psf_second_derivative)
@@ -198,10 +198,7 @@ def test_criterion_8_invariance_suite(capsys):
     checks["weight ratio law"] = ratio_ok
 
     psf = PsfModel.gaussian(0.1)
-    records = riemann_convergence_check(
-        lambda x: psf_second_derivative(psf, np.asarray(x) - 0.5),
-        lambda x: eval_psf(psf, np.asarray(x) - 0.5),
-        (20, 200, 2000), limit=gaussian_fisher_integral(0.1))
+    records, _ = riemann_convergence_check(psf, (20, 200, 2000))
     gaps = [r["gap"] for r in records]
     checks["riemann sums converge"] = gaps[0] > gaps[1] > gaps[2]
 

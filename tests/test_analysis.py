@@ -10,10 +10,10 @@ from statres.analysis import (FitResult, SweepSpec, criterion_alpha,
                               hardest_alternative_scan,
                               riemann_convergence_check, simulation_sweep,
                               sted_improvement, table1, weight_scan)
+from statres.binning import bin_information_sum
 from statres.exceptions import ParameterError
 from statres.models import NoiseModel
-from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, eval_psf,
-                         fisher_integral, psf_second_derivative)
+from statres.psf import PsfModel, fisher_integral
 from statres.resolution import ResolutionQuery, detection_boundary
 
 # law coefficients at levels 1, 5 and 10 percent, pinned to two decimals
@@ -142,46 +142,42 @@ def test_weight_scan_symmetry_and_minimum():
         assert by_q[q] > by_q[0.5]
 
 
-def test_riemann_check_is_exact_for_constants():
-    const = lambda x: np.full_like(np.asarray(x, dtype=float), 3.0)
-    records = riemann_convergence_check(const, const, (5, 50, 500))
-    for record in records:
-        assert_allclose(record["riemann_sum"], 3.0, rtol=1e-12)
-        assert record["gap"] < 1e-9
-
-
 def test_riemann_check_converges_to_the_fisher_integral():
-    psf = PsfModel.gaussian(0.1)
-    f = lambda x: psf_second_derivative(psf, np.asarray(x) - 0.5)
-    g = lambda x: eval_psf(psf, np.asarray(x) - 0.5)
-    records = riemann_convergence_check(f, g, (20, 200, 2000),
-                                        limit=FISHER_LIMIT_SIGMA_01)
+    records, limit = riemann_convergence_check(PsfModel.gaussian(0.1),
+                                               (20, 200, 2000))
+    assert_allclose(limit, FISHER_LIMIT_SIGMA_01, rtol=1e-12)
     gaps = [r["gap"] for r in records]
     assert gaps[0] > 50.0 * gaps[1] > 50.0 * 50.0 * gaps[2]
     assert_allclose(records[-1]["riemann_sum"], FISHER_LIMIT_SIGMA_01,
                     rtol=1e-4)
+    assert all(r["passed"] for r in records)
 
 
 def test_riemann_check_converges_for_the_airy_kernel():
-    # the closed-form airy h'' integrates bin by bin to the quadrature
-    # tolerance, so the gaps shrink like those of the gaussian kernel
+    # the closed-form airy h' differences give the bin curvature
+    # integrals exactly, so the gaps shrink like those of the gaussian
     psf = PsfModel.airy(0.2, background=0.2)
-    f = lambda x: psf_second_derivative(psf, np.asarray(x) - 0.5)
-    g = lambda x: eval_psf(psf, np.asarray(x) - 0.5)
-    limit = fisher_integral(psf)
-    records = riemann_convergence_check(f, g, (20, 200, 2000), limit=limit)
+    records, limit = riemann_convergence_check(psf, (20, 200, 2000))
+    assert limit == fisher_integral(psf)
     gaps = [r["gap"] for r in records]
     assert gaps[0] > 50.0 * gaps[1] > 50.0 * 50.0 * gaps[2]
     assert_allclose(records[-1]["riemann_sum"], limit, rtol=1e-4)
 
 
+def test_riemann_check_reports_the_finite_n_sum():
+    psf = PsfModel.gaussian(0.07, background=0.3)
+    records, _ = riemann_convergence_check(psf, (9, 90), x0=0.4)
+    for record in records:
+        assert record["riemann_sum"] == \
+            bin_information_sum(psf, 0.4, record["n"])
+
+
 def test_riemann_check_validation():
-    const = lambda x: np.full_like(np.asarray(x, dtype=float), 1.0)
-    signed = lambda x: np.asarray(x, dtype=float) - 0.5
+    psf = PsfModel.gaussian(0.1)
     with pytest.raises(ParameterError):
-        riemann_convergence_check(const, const, (2.5,))
+        riemann_convergence_check(psf, (2.5,))
     with pytest.raises(ParameterError):
-        riemann_convergence_check(const, signed, (10,), limit=1.0)
+        riemann_convergence_check(psf, (20,), x0=0.0)
 
 
 def test_sweep_spec_validation():
@@ -197,6 +193,14 @@ def test_sweep_spec_validation():
         SweepSpec(swept="t", grid=(1, 2, 3), method="grid")
     with pytest.raises(ParameterError):
         SweepSpec(swept="t", grid=(1, 2, 3), models=("hg", "gauss"))
+
+
+@pytest.mark.parametrize("fields", [{"threads": 0}, {"threads": -1},
+                                    {"models": ()},
+                                    {"models": ("poisson", "poisson")}])
+def test_sweep_spec_rejects_bad_threads_and_models(fields):
+    with pytest.raises(ParameterError):
+        SweepSpec(swept="t", grid=(1, 2, 3), method="formula", **fields)
 
 
 def test_formula_sweep_recovers_the_exact_exponents():

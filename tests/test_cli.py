@@ -402,6 +402,87 @@ def test_check_requires_a_mode(capsys):
     assert code == 2 and "requires one of" in err
 
 
+@pytest.mark.parametrize("modes", [["--clt", "--riemann"],
+                                   ["--clt", "--hg-normality"],
+                                   ["--hg-normality", "--riemann"]])
+def test_check_rejects_more_than_one_mode(capsys, modes):
+    code, out, err = run(capsys, ["check", *modes])
+    assert code == 2 and out == ""
+    assert err.strip().endswith("got " + ", ".join(modes))
+
+
+def test_check_riemann_narrow_kernel_gaps_shrink(capsys):
+    # the far bins hold no null mass and drop out of the n-bin sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["check", "--riemann",
+                                      "--psf", "gaussian:0.005"])
+    assert code == 0 and err == ""
+    rows = parse_csv(out)[2]
+    gaps = [float(r["gap"]) for r in rows]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert all(r["passed"] == "true" for r in rows)
+
+
+def test_finite_n_narrow_kernel_meets_the_asymptotic_value(capsys):
+    argv = ["resolve", "--model", "vsg", "--psf", "gaussian:0.005",
+            "--n", "2000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv + ["--method", "finite-n"])
+        assert code == 0 and err == ""
+        finite_n = float(parse_csv(out)[2][0]["d"])
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+    assert finite_n == pytest.approx(float(parse_csv(out)[2][0]["d"]),
+                                     rel=0.01)
+
+
+def test_finite_n_narrow_kernel_on_coarse_bins_exits_3(capsys):
+    # at n = 20 the kernel fills the two bins beside x0, and h' nearly
+    # vanishes at all three of their edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["resolve", "--method", "finite-n",
+                                      "--model", "vsg", "--psf",
+                                      "gaussian:0.005", "--n", "20"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("model", ["hg", "vsg"])
+def test_finite_n_kernel_without_curvature_in_any_bin_exits_3(capsys, model):
+    # every bin's h' difference underflows to 0: the bin sum is 0
+    code, out, err = run(capsys, ["resolve", "--method", "finite-n",
+                                  "--model", model,
+                                  "--psf", "gaussian:0.00001"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--psf", "gaussian:inf"],
+    ["resolve", "--psf", "airy:inf"],
+    ["resolve", "--gamma", "inf"],
+    ["power", "--d", "0.1", "--gamma", "inf"],
+    ["check", "--riemann", "--x0", "0.0"],
+    ["simulate", "--method", "formula", "--threads", "0"],
+    ["simulate", "--method", "formula", "--threads", "-1"],
+    ["simulate", "--method", "formula", "--models", ","],
+    ["simulate", "--method", "formula", "--models", "poisson,poisson"],
+])
+def test_invalid_inputs_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_model_assumption_violation_exits_4(capsys):
+    code, out, err = run(capsys, ["check", "--riemann", "--psf", "airy:0.2"])
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
