@@ -12,7 +12,6 @@ simulated resolution curves.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -258,6 +257,8 @@ def simulation_sweep(spec: SweepSpec) -> tuple[list[dict], dict[str, FitResult]]
     tasks = [(kind, i) for kind in spec.models
              for i in range(len(spec.grid))]
     if spec.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             records = list(pool.map(
                 lambda ki: _sweep_point(spec, ki[0], ki[1]), tasks))

@@ -9,7 +9,8 @@ Wire formats: CSV (meta as leading ``# key = value`` comment lines, then
 a header row) and JSON (object with "meta" and "records"); the tables
 subcommand also has a human-readable text view, the only place where
 probabilities appear as percentages. stdout carries data, stderr carries
-messages. Option precedence is flags over config file over defaults; the
+messages, each warning as one ``warning: <Category>: <message>`` line.
+Option precedence is flags over config file over defaults; the
 config file is line-oriented ``key = value`` text keyed by flag names.
 
 Exit codes: 0 success, 2 parameter error, 3 no resolution in range,
@@ -24,6 +25,8 @@ import json
 import math
 import os
 import sys
+import threading
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
@@ -606,11 +609,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown, lock = set(), threading.Lock()
+
+    def format_warning(message, category, *_):
+        # once per command by text: a module imported mid-command resets
+        # the warnings registry, so the same call site can warn again;
+        # simulate's threads warn too, hence the lock
+        text = f"warning: {category.__name__}: {message}\n"
+        with lock:
+            if text in shown:
+                return ""
+            shown.add(text)
+        return text
+
+    previous, warnings.formatwarning = warnings.formatwarning, format_warning
     try:
         return args.func(args)
     except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import erf, j1, jv, ndtr
 
 from .exceptions import ModelAssumptionError, ParameterError
@@ -43,6 +41,8 @@ def airy_fwhm_u() -> float:
 
     The half-maximum point solves J1(u) = u / (2 sqrt(2)); twice its root.
     """
+    from scipy.optimize import brentq
+
     root = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 0.5, 1.0, 2.5,
                   xtol=1e-14, rtol=1e-15)
     return 2.0 * root
@@ -165,6 +165,8 @@ def psf_fwhm(psf: PsfModel) -> float:
 
 def numeric_fwhm(psf: PsfModel) -> float:
     """FWHM found by root solving h(u) = h(0)/2, for validation."""
+    from scipy.optimize import brentq
+
     peak = float(kernel_value(psf, 0.0))
     target = 0.5 * peak
     hi = psf_fwhm(psf)
@@ -246,6 +248,8 @@ def _width(psf: PsfModel) -> float:
 
 def _quad_unit(func, center: float, width: float) -> float:
     """Adaptive quadrature over [0, 1] with break points around a peak."""
+    from scipy.integrate import quad
+
     pts = sorted({min(max(center + k * width, 0.0), 1.0)
                   for k in (-5.0, -2.0, 0.0, 2.0, 5.0)})
     pts = [p for p in pts if 0.0 < p < 1.0]

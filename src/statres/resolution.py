@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .binning import (SourceConfig, bin_curvature_integrals,
@@ -193,6 +192,8 @@ def _power_root(query: ResolutionQuery, lo: float, hi: float,
     them) to their gaps and is extended in place. Returns the root, its
     gap and the number of gap evaluations, the known ones included.
     """
+    from scipy.optimize import brentq
+
     def gap(d: float) -> float:
         if d not in known:
             known[d] = _power_gap(query, d)

@@ -1,10 +1,14 @@
 """End-to-end command-line checks, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import statres
 from statres.cli import main, parse_grid, parse_psf
 from statres.exceptions import ParameterError
 
@@ -488,3 +492,41 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("statres ")
+
+
+# the directory this statres package is imported from, for fresh processes
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(statres.__file__))
+
+
+def run_fresh(*args):
+    """Run ``python *args`` with this statres package in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_warning_prints_as_one_line():
+    # a wide kernel truncates at the window edge; the user sees the
+    # warning once, as one line naming its category, with no source path
+    proc = run_fresh("-m", "statres.cli", "resolve", "--method", "exact",
+                     "--model", "hg", "--psf", "gaussian:0.3", "--t", "100")
+    assert proc.returncode == 0
+    assert parse_csv(proc.stdout)[2][0]["method"] == "exact"
+    assert proc.stderr.splitlines() == [
+        "warning: MassTruncationWarning: a source keeps less than 99 "
+        "percent of its kernel mass inside [0, 1]; bin probabilities are "
+        "truncated"]
+    assert ".py:" not in proc.stderr
+
+
+def test_cli_import_loads_no_heavy_dependency():
+    # root solver, quadrature and thread pool are imported by the code that
+    # uses them, not by building the parser; scipy.stats not at all.
+    # (concurrent.futures itself comes in with scipy.special's numpy.testing)
+    deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+                "concurrent.futures.thread")
+    proc = run_fresh("-c", "import sys, statres.cli; "
+                     "statres.cli.build_parser(); "
+                     f"print([m for m in {deferred!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

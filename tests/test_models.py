@@ -14,10 +14,11 @@ from statres.exceptions import (ModelAssumptionError, ParameterError,
                                 UnsupportedMethodError)
 from statres.models import (MODEL_KINDS, NoiseModel, RngState,
                             analytic_report, draw_statistic,
-                            exact_error_rates, hg_mu, lrt_statistic,
-                            mc_error_rates, normal_cdf, normal_quantile,
-                            poisson_clt_report, sample_observations,
-                            separation_measure, statistic_moments, vsg_nu)
+                            exact_error_rates, hg_mu, ks_normal_distance,
+                            lrt_statistic, mc_error_rates, normal_cdf,
+                            normal_quantile, poisson_clt_report,
+                            sample_observations, separation_measure,
+                            statistic_moments, vsg_nu)
 from statres.psf import PsfModel
 
 # high-precision quantile references (30-digit evaluation, rounded)
@@ -412,6 +413,16 @@ def test_statistic_normality_under_both_hypotheses():
                              reps=reps)
     z1 = (lrt_statistic(model, probs, t, y1) - m) / math.sqrt(2.0 * m)
     assert kstest(z1, "norm").statistic < 0.02
+
+
+@pytest.mark.parametrize("n", [7, 100, 10000])
+def test_ks_distance_equals_scipy_kstest(n):
+    # bit for bit, on samples near N(0, 1) and clearly off it
+    for seed in range(5):
+        z = np.random.default_rng(seed).standard_normal(n)
+        for sample in (z, 1.1 * z + 0.05, np.exp(z)):
+            assert ks_normal_distance(sample) == \
+                kstest(sample, "norm").statistic
 
 
 def test_mc_validation():
