@@ -15,7 +15,7 @@ from .analysis import (FitResult, SweepSpec, criterion_alpha,
                        simulation_sweep, sted_improvement, table1,
                        weight_scan)
 from .binning import (BinProbabilities, SourceConfig, bin_curvature_integrals,
-                      bin_information_sum, bin_probabilities, delta_profile)
+                      bin_information_sum, bin_probabilities)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          MassTruncationWarning,
                          ModelAssumptionError, NoResolutionError,
@@ -25,8 +25,7 @@ from .models import (NoiseModel, RngState, TestReport, exact_error_rates,
                      hg_mu, lrt_statistic, mc_error_rates, normal_cdf,
                      normal_quantile, poisson_clt_report,
                      sample_observations, vsg_nu)
-from .psf import (PsfModel, eval_psf, gaussian_curvature_integral,
-                  gaussian_fisher_integral, psf_fwhm, psf_second_derivative,
+from .psf import (PsfModel, eval_psf, psf_fwhm, psf_second_derivative,
                   sted_narrow)
 from .resolution import (ResolutionQuery, ResolutionResult, acuna_power,
                          asymptotic_resolution, detection_boundary,
@@ -43,10 +42,9 @@ __all__ = [
     "SweepSpec", "TestReport", "UnsupportedMethodError", "acuna_power",
     "asymptotic_resolution", "bin_curvature_integrals",
     "bin_information_sum", "bin_probabilities",
-    "criterion_alpha", "delta_profile", "detection_boundary",
+    "criterion_alpha", "detection_boundary",
     "eval_psf", "exact_error_rates", "exact_resolution",
-    "finite_n_resolution", "gaussian_curvature_integral",
-    "gaussian_fisher_integral", "hardest_alternative_scan", "hg_mu",
+    "finite_n_resolution", "hardest_alternative_scan", "hg_mu",
     "lrt_statistic", "mc_error_rates", "mc_resolution", "normal_cdf",
     "normal_quantile", "poisson_clt_report", "psf_fwhm",
     "psf_second_derivative", "resolve_query", "riemann_convergence_check",

@@ -163,20 +163,6 @@ def psf_fwhm(psf: PsfModel) -> float:
     return psf.fwhm
 
 
-def numeric_fwhm(psf: PsfModel) -> float:
-    """FWHM found by root solving h(u) = h(0)/2, for validation."""
-    from scipy.optimize import brentq
-
-    peak = float(kernel_value(psf, 0.0))
-    target = 0.5 * peak
-    hi = psf_fwhm(psf)
-    while float(kernel_value(psf, hi)) > target:
-        hi *= 2.0
-    root = brentq(lambda u: float(kernel_value(psf, u)) - target,
-                  0.0, hi, xtol=1e-14, rtol=1e-15)
-    return 2.0 * root
-
-
 def sted_narrow(fwhm: float, xi: float) -> float:
     """FWHM after STED depletion with saturation level xi.
 
@@ -187,18 +173,6 @@ def sted_narrow(fwhm: float, xi: float) -> float:
     if xi < 0.0:
         raise ParameterError("saturation xi must be >= 0")
     return fwhm / math.sqrt(1.0 + xi)
-
-
-def gaussian_curvature_integral(sigma: float, x0: float = 0.5) -> float:
-    """``curvature_integral`` of a Gaussian kernel with deviation sigma."""
-    return curvature_integral(PsfModel.gaussian(sigma), x0=x0)
-
-
-def gaussian_fisher_integral(sigma: float, gamma: float = 0.0,
-                             x0: float = 0.5) -> float:
-    """``fisher_integral`` of a Gaussian kernel plus pedestal gamma."""
-    return fisher_integral(PsfModel.gaussian(sigma, background=gamma),
-                           x0=x0)
 
 
 def curvature_integral(psf: PsfModel, x0: float = 0.5) -> float:

@@ -4,8 +4,10 @@ Bin integrals feed likelihood computations, so they must be deterministic:
 nodes and weights are computed once, summation order inside a bin is fixed,
 and sums across bins use numpy's pairwise summation. Each bin is refined by
 recursive bisection until the two-half estimate agrees with the whole-bin
-estimate, which keeps narrow kernels (sharp peaks inside a wide bin) exact
-to the requested tolerance.
+estimate to an absolute tolerance. A peak much narrower than a bin can fall
+between the nodes of both estimates, which then agree on zero, so the
+caller puts break points around it. The one caller is the Airy kernel in
+``binning``; Gaussian bins have a closed form.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ def _panel_estimates(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * (values @ weights)
 
 
-def integrate_bins(func, edges: np.ndarray, tol: float = DEFAULT_TOL,
-                   max_depth: int = MAX_DEPTH) -> np.ndarray:
+def integrate_bins(func, edges: np.ndarray) -> np.ndarray:
     """Integrate a vectorized callable over consecutive bins.
 
     Parameters
@@ -47,19 +48,16 @@ def integrate_bins(func, edges: np.ndarray, tol: float = DEFAULT_TOL,
         Vectorized function of one array argument.
     edges : ndarray
         Increasing array of bin edges, length n+1 for n bins.
-    tol : float
-        Absolute agreement required between the one-panel estimate and the
-        sum of its two half-panel estimates before a bin stops refining.
-    max_depth : int
-        Bisection recursion limit per bin.
 
     Returns
     -------
-    ndarray of the n bin integrals.
+    ndarray of the n bin integrals, each refined until its one-panel
+    estimate and the sum of its two half-panel estimates agree to
+    DEFAULT_TOL (halved per level), at most MAX_DEPTH levels deep.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    return _refine(func, lo, hi, tol, max_depth)
+    return _refine(func, lo, hi, DEFAULT_TOL, MAX_DEPTH)
 
 
 def _refine(func, lo, hi, tol, depth):

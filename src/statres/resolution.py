@@ -213,7 +213,9 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
 
     Finds the d at which the level-alpha test has power exactly 1 - beta,
     the root of m(d) = (z_(1-alpha) + z_(1-beta))^2 / 2 with m the
-    model's separation measure. Not defined for poisson.
+    model's separation measure. Not defined for poisson. Raises
+    NoResolutionError when even the widest pair the window admits falls
+    short of that power.
     """
     if query.model.kind == "poisson":
         raise UnsupportedMethodError(
@@ -222,7 +224,7 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
     hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
     known = {hi: _power_gap(query, hi)}
     if known[hi] < 0.0:
-        raise GeometryError(
+        raise NoResolutionError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
     d, residual, evaluations = _power_root(query, 0.0, hi, known)

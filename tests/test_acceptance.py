@@ -20,9 +20,8 @@ from statres.binning import SourceConfig, bin_probabilities
 from statres.cli import main
 from statres.models import NoiseModel, RngState, exact_error_rates, \
     mc_error_rates
-from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel,
-                         gaussian_curvature_integral,
-                         gaussian_fisher_integral, kernel_value,
+from statres.psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
+                         fisher_integral, kernel_value,
                          psf_second_derivative)
 from statres.resolution import (ResolutionQuery, asymptotic_resolution,
                                 exact_resolution, finite_n_resolution,
@@ -223,8 +222,8 @@ def test_criterion_9_closed_form_integrals(capsys):
             / float(kernel_value(psf, x - 0.5)),
             0.0, 1.0, points=pts, limit=200, epsabs=0.0, epsrel=1e-10)
         worst = max(worst,
-                    abs(gaussian_curvature_integral(sigma) / curv - 1.0),
-                    abs(gaussian_fisher_integral(sigma) / fish - 1.0))
+                    abs(curvature_integral(psf) / curv - 1.0),
+                    abs(fisher_integral(psf) / fish - 1.0))
     passed = worst <= 1e-8
     report(capsys, 9, passed,
            f"closed-form kernel integrals vs adaptive quadrature over 5 "

@@ -1,4 +1,4 @@
-"""Bin probabilities, geometry validation and profile differences."""
+"""Bin probabilities, geometry validation and per-bin integrals."""
 
 import math
 
@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from scipy.special import erf
 
 from statres.binning import (BinProbabilities, SourceConfig, bin_edges,
-                             bin_curvature_integrals, bin_probabilities,
-                             delta_profile)
+                             bin_curvature_integrals, bin_probabilities)
 from statres.exceptions import (GeometryError, MassTruncationWarning,
                                 ParameterError)
-from statres.psf import (PsfModel, mass_fraction, psf_first_derivative,
-                         psf_second_derivative, psf_fwhm, total_mass)
+from statres.psf import (PsfModel, kernel_value, mass_fraction,
+                         psf_first_derivative, psf_second_derivative,
+                         total_mass)
+from statres.quadrature import integrate_bins
 
 
 def test_source_positions():
@@ -83,35 +84,38 @@ def test_background_pedestal_is_exact():
 
 
 def test_mass_is_conserved_between_hypotheses():
-    rng = np.random.default_rng(3)
-    psf = PsfModel.gaussian(0.05)
-    for _ in range(20):
-        x0 = rng.uniform(0.35, 0.65)
-        d = rng.uniform(0.0, 0.1)
-        q = rng.uniform(0.2, 0.8)
-        src = SourceConfig(x0=x0, d=d, weight_q=q)
-        # all sources at least 5 sigma from the window boundary
-        assert min(src.x1, src.x2, x0) > 0.25
-        probs = bin_probabilities(psf, src, 25)
-        assert abs(np.sum(probs.p1) - np.sum(probs.p0)) <= 1e-9
+    # the airy kernel is narrower than a bin, so its bins take break points
+    for psf in (PsfModel.gaussian(0.05), PsfModel.airy(0.002)):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x0 = rng.uniform(0.35, 0.65)
+            d = rng.uniform(0.0, 0.1)
+            q = rng.uniform(0.2, 0.8)
+            src = SourceConfig(x0=x0, d=d, weight_q=q)
+            # all sources at least 5 sigma from the window boundary
+            assert min(src.x1, src.x2, x0) > 0.25
+            probs = bin_probabilities(psf, src, 25)
+            assert abs(np.sum(probs.p1) - np.sum(probs.p0)) <= 1e-9
 
 
 def test_refining_bins_is_consistent():
-    psf = PsfModel.gaussian(0.0849, background=0.3)
+    # the airy kernel is narrower than the coarse bins, not the fine ones
     src = SourceConfig(x0=0.5, d=0.12, weight_q=0.4)
-    coarse = bin_probabilities(psf, src, 10)
-    fine = bin_probabilities(psf, src, 20)
-    merged0 = fine.p0.reshape(10, 2).sum(axis=1)
-    merged1 = fine.p1.reshape(10, 2).sum(axis=1)
-    assert_allclose(merged0, coarse.p0, atol=1e-12)
-    assert_allclose(merged1, coarse.p1, atol=1e-12)
+    for psf in (PsfModel.gaussian(0.0849, background=0.3),
+                PsfModel.airy(0.2, background=0.3)):
+        coarse = bin_probabilities(psf, src, 10)
+        fine = bin_probabilities(psf, src, 20)
+        merged0 = fine.p0.reshape(10, 2).sum(axis=1)
+        merged1 = fine.p1.reshape(10, 2).sum(axis=1)
+        assert_allclose(merged0, coarse.p0, atol=1e-12)
+        assert_allclose(merged1, coarse.p1, atol=1e-12)
 
 
 def test_symmetric_configuration_gives_palindromic_profiles():
-    psf = PsfModel.gaussian(0.08)
-    probs = bin_probabilities(psf, SourceConfig(x0=0.5, d=0.15), 21)
-    assert_allclose(probs.p0, probs.p0[::-1], atol=1e-12)
-    assert_allclose(probs.p1, probs.p1[::-1], atol=1e-12)
+    for psf in (PsfModel.gaussian(0.08), PsfModel.airy(0.08)):
+        probs = bin_probabilities(psf, SourceConfig(x0=0.5, d=0.15), 21)
+        assert_allclose(probs.p0, probs.p0[::-1], atol=1e-12)
+        assert_allclose(probs.p1, probs.p1[::-1], atol=1e-12)
 
 
 def test_probabilities_have_a_positive_floor():
@@ -169,42 +173,38 @@ def test_no_truncation_warning_when_contained(recwarn):
                    for w in recwarn.list)
 
 
-def test_delta_profile_vanishes_at_zero_separation():
-    psf = PsfModel.gaussian(0.0849)
-    x = np.linspace(0.0, 1.0, 97)
-    delta = delta_profile(psf, SourceConfig(x0=0.5, d=0.0), x)
-    assert_allclose(delta, 0.0, atol=1e-15)
+@pytest.mark.parametrize("sigma, x0", [(1e-5, 0.5), (1e-4, 0.3123)])
+def test_narrow_gaussian_keeps_its_mass(sigma, x0, recwarn):
+    # the peak lies inside one bin, far below the bin width
+    probs = bin_probabilities(PsfModel.gaussian(sigma),
+                              SourceConfig(x0=x0, d=0.0), 20)
+    assert abs(np.sum(probs.p0) - 1.0) <= 1e-12
+    assert not recwarn.list
 
 
-@pytest.mark.parametrize("q, tail_bound", [(0.5, 1e-3), (0.3, 5e-3)])
-def test_delta_profile_small_separation_expansion(q, tail_bound):
-    # alternative minus null approaches q (1-q) d^2 / 2 times h''; the
-    # remainder is O(d^4) for a balanced pair and O(d^3) otherwise
-    psf = PsfModel.gaussian(0.0849)
-    fwhm = psf_fwhm(psf)
-    x = np.linspace(0.2, 0.8, 301)
-    gaps = []
-    for frac in (0.05, 0.02, 0.01):
-        d = frac * fwhm
-        delta = delta_profile(psf, SourceConfig(x0=0.5, d=d, weight_q=q), x)
-        approx = (q * (1.0 - q) * d * d / 2.0
-                  * psf_second_derivative(psf, x - 0.5))
-        scale = np.max(np.abs(approx))
-        gaps.append(np.max(np.abs(delta - approx)) / scale)
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] < tail_bound
+@pytest.mark.parametrize("fwhm", [1e-6, 1e-8])
+def test_narrow_airy_keeps_its_mass(fwhm, recwarn):
+    psf = PsfModel.airy(fwhm)
+    probs = bin_probabilities(psf, SourceConfig(x0=0.3123, d=0.0), 20)
+    assert_allclose(np.sum(probs.p0), total_mass(psf), rtol=1e-4)
+    assert not recwarn.list
 
 
-def test_delta_profile_background_cancels():
-    src = SourceConfig(x0=0.5, d=0.1, weight_q=0.4)
-    x = np.linspace(0.0, 1.0, 51)
-    bare = delta_profile(PsfModel.gaussian(0.1), src, x)
-    with_bg = delta_profile(PsfModel.gaussian(0.1, background=3.0), src, x)
-    assert_allclose(with_bg, bare, rtol=1e-15)
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+@pytest.mark.parametrize("sigma", [1e-3, 0.01, 0.1, 0.3])
+@pytest.mark.parametrize("n", [20, 1000])
+@pytest.mark.parametrize("x0", [0.5, 0.3123])
+def test_gaussian_bins_match_quadrature(sigma, n, x0):
+    # the closed form agrees with plain quadrature where that sees the peak
+    psf = PsfModel.gaussian(sigma)
+    probs = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n)
+    by_quad = integrate_bins(lambda x: kernel_value(psf, x - x0),
+                             bin_edges(n))
+    assert_allclose(probs.p0, by_quad, rtol=0.0, atol=1e-13)
 
 
 def test_bin_curvature_integrals_match_quadrature():
-    from statres.quadrature import integrate_bins
     psf = PsfModel.gaussian(0.0849)
     by_slope = bin_curvature_integrals(psf, 0.5, 20)
     by_quad = integrate_bins(lambda x: psf_second_derivative(psf, x - 0.5),

@@ -10,7 +10,7 @@ import pytest
 
 import statres
 from statres.cli import main, parse_grid, parse_psf
-from statres.exceptions import ParameterError
+from statres.exceptions import MassTruncationWarning, ParameterError
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
@@ -462,6 +462,27 @@ def test_finite_n_kernel_without_curvature_in_any_bin_exits_3(capsys, model):
                                   "--psf", "gaussian:0.00001"])
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_exact_root_outside_the_window_exits_3(capsys):
+    # even the widest pair the window admits stays below the power
+    code, out, err = run(capsys, ["resolve", "--method", "exact",
+                                  "--model", "hg", "--psf", "gaussian:0.05",
+                                  "--n", "1000"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_exact_narrow_gaussian_resolves_without_warning(capsys):
+    # the peak sits inside one bin: its bin mass must not read as lost
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MassTruncationWarning)
+        code, out, err = run(capsys, ["resolve", "--method", "exact",
+                                      "--model", "vsg", "--psf",
+                                      "gaussian:0.0001", "--x0", "0.3123",
+                                      "--t", "1000"])
+    assert code == 0 and err == ""
+    assert 0.0 < float(parse_csv(out)[2][0]["d"]) < 1.0
 
 
 @pytest.mark.parametrize("argv", [

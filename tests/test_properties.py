@@ -8,6 +8,7 @@ from statres.binning import SourceConfig, bin_probabilities
 from statres.models import (MODEL_KINDS, NoiseModel, analytic_report,
                             exact_error_rates)
 from statres.psf import PsfModel
+from statres.resolution import ROOT_GRID, ResolutionQuery, exact_resolution
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
@@ -75,3 +76,20 @@ def test_exact_power_grows_with_t(kind, fwhm, x0, q, d, t, factor, alpha):
     probs = probs_at(fwhm, x0, q, d)
     assert exact_power(kind, probs, factor * t, alpha) >= \
         exact_power(kind, probs, t, alpha) - 1e-12
+
+
+@PROPERTY
+@given(kind=exact_models, fwhm=st.floats(0.05, 0.25),
+       x0=st.floats(0.4, 0.6), t=st.floats(50.0, 1000.0))
+def test_exact_resolution_inverts_the_exact_power(kind, fwhm, x0, t):
+    query = ResolutionQuery(model=NoiseModel(kind),
+                            psf=PsfModel.gaussian_from_fwhm(fwhm), x0=x0,
+                            t=t)
+    result = exact_resolution(query)
+    target = 1.0 - query.beta
+    power = exact_power(kind, probs_at(fwhm, x0, 0.5, result.d), t,
+                        query.alpha)
+    assert 0.0 <= power - target <= result.diagnostics["residual"]
+    below = exact_power(kind, probs_at(fwhm, x0, 0.5, result.d - ROOT_GRID),
+                        t, query.alpha)
+    assert below < target

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from statres.exceptions import ModelAssumptionError, ParameterError
 from statres.psf import (AIRY_TOTAL_MASS_U, GAUSSIAN_FWHM_FACTOR, PsfModel,
                          airy_fwhm_u, curvature_integral, eval_psf,
-                         fisher_integral, gaussian_curvature_integral,
-                         gaussian_fisher_integral, kernel_value,
-                         mass_fraction, numeric_fwhm, psf_first_derivative,
-                         psf_fwhm, psf_second_derivative, sted_narrow,
-                         total_mass)
+                         fisher_integral, kernel_value, mass_fraction,
+                         psf_first_derivative, psf_fwhm,
+                         psf_second_derivative, sted_narrow, total_mass)
 
 # frozen high-precision references (30-digit arithmetic, 17 printed)
 AIRY_FWHM_U = 3.2326798966214064
@@ -24,6 +23,17 @@ CURVATURE_SIGMA_01 = 21157.10935593173
 FISHER_SIGMA_01 = 19996.123063198816
 CURVATURE_SIGMA_005 = 677027.50025730754
 FISHER_SIGMA_005 = 320000.0
+
+
+def numeric_fwhm(psf):
+    """FWHM found by root solving h(u) = h(0)/2, the oracle of psf_fwhm."""
+    target = 0.5 * float(kernel_value(psf, 0.0))
+    hi = psf_fwhm(psf)
+    while float(kernel_value(psf, hi)) > target:
+        hi *= 2.0
+    root = brentq(lambda u: float(kernel_value(psf, u)) - target,
+                  0.0, hi, xtol=1e-14, rtol=1e-15)
+    return 2.0 * root
 
 
 def test_gaussian_peak_value():
@@ -163,30 +173,31 @@ def test_sted_rejects_negative_saturation():
 
 
 def test_curvature_integral_frozen_values():
-    assert_allclose(gaussian_curvature_integral(0.1), CURVATURE_SIGMA_01,
-                    rtol=1e-12)
-    assert_allclose(gaussian_curvature_integral(0.05), CURVATURE_SIGMA_005,
-                    rtol=1e-12)
+    assert_allclose(curvature_integral(PsfModel.gaussian(0.1)),
+                    CURVATURE_SIGMA_01, rtol=1e-12)
+    assert_allclose(curvature_integral(PsfModel.gaussian(0.05)),
+                    CURVATURE_SIGMA_005, rtol=1e-12)
 
 
 def test_fisher_integral_frozen_values():
-    assert_allclose(gaussian_fisher_integral(0.1), FISHER_SIGMA_01,
-                    rtol=1e-12)
-    assert_allclose(gaussian_fisher_integral(0.05), FISHER_SIGMA_005,
-                    rtol=1e-12)
+    assert_allclose(fisher_integral(PsfModel.gaussian(0.1)),
+                    FISHER_SIGMA_01, rtol=1e-12)
+    assert_allclose(fisher_integral(PsfModel.gaussian(0.05)),
+                    FISHER_SIGMA_005, rtol=1e-12)
 
 
 def test_curvature_integral_leading_order():
     # small-width limit (3/8) pi^-1/2 sigma^-5
     sigma = 0.1
     leading = 3.0 / (8.0 * math.sqrt(math.pi)) * sigma ** -5
-    assert_allclose(gaussian_curvature_integral(sigma), leading, rtol=1e-6)
+    assert_allclose(curvature_integral(PsfModel.gaussian(sigma)), leading,
+                    rtol=1e-6)
 
 
 def test_fisher_integral_leading_order():
     sigma = 0.1
-    assert_allclose(gaussian_fisher_integral(sigma), 2.0 * sigma ** -4,
-                    rtol=2e-4)
+    assert_allclose(fisher_integral(PsfModel.gaussian(sigma)),
+                    2.0 * sigma ** -4, rtol=2e-4)
 
 
 @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 0.2, 0.3])
@@ -198,23 +209,23 @@ def test_closed_forms_match_adaptive_quadrature(sigma):
     fish, _ = quad(lambda x: float(psf_second_derivative(psf, x - 0.5)) ** 2
                    / float(kernel_value(psf, x - 0.5)),
                    0.0, 1.0, points=pts, limit=200, epsabs=0.0, epsrel=1e-10)
-    assert_allclose(gaussian_curvature_integral(sigma), curv, rtol=1e-8)
-    assert_allclose(gaussian_fisher_integral(sigma), fish, rtol=1e-8)
+    assert_allclose(curvature_integral(psf), curv, rtol=1e-8)
+    assert_allclose(fisher_integral(psf), fish, rtol=1e-8)
 
 
 def test_quadrature_path_matches_closed_form():
     # an off-center x0 forces quadrature; x0 = 0.5 uses the closed form,
     # and a symmetric kernel cannot tell 0.5 from 0.5 + 0
     for sigma in (0.05, 0.1):
-        by_quad = gaussian_curvature_integral(sigma, x0=0.5 + 0.0e-0 + 1e-12)
-        assert_allclose(by_quad, gaussian_curvature_integral(sigma),
-                        rtol=1e-8)
-        by_quad = gaussian_fisher_integral(sigma, x0=0.5 + 1e-12)
-        assert_allclose(by_quad, gaussian_fisher_integral(sigma), rtol=1e-8)
+        psf = PsfModel.gaussian(sigma)
+        assert_allclose(curvature_integral(psf, x0=0.5 + 1e-12),
+                        curvature_integral(psf), rtol=1e-8)
+        assert_allclose(fisher_integral(psf, x0=0.5 + 1e-12),
+                        fisher_integral(psf), rtol=1e-8)
 
 
 def test_fisher_integral_decreases_with_background():
-    values = [gaussian_fisher_integral(0.1, gamma=g)
+    values = [fisher_integral(PsfModel.gaussian(0.1, background=g))
               for g in (0.0, 1.0, 10.0, 100.0)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 0.1 * values[0]
@@ -264,6 +275,4 @@ def test_psf_validation():
     with pytest.raises(ParameterError):
         PsfModel(kind="box", sigma=0.1)
     with pytest.raises(ParameterError):
-        gaussian_curvature_integral(-0.1)
-    with pytest.raises(ParameterError):
-        gaussian_fisher_integral(0.1, gamma=-1.0)
+        PsfModel.gaussian(-0.1)

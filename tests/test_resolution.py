@@ -171,7 +171,7 @@ def test_exact_resolution_shrinks_as_beta_grows():
 def test_exact_resolution_off_center_geometry_failure():
     # near the window edge no admissible separation reaches the power
     with pytest.warns(Warning):
-        with pytest.raises(GeometryError):
+        with pytest.raises(NoResolutionError):
             exact_resolution(make_query("vsg", t=20.0, x0=0.05))
 
 
@@ -181,7 +181,7 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     with pytest.raises(NoResolutionError):
         asymptotic_resolution(flat)
     with pytest.warns(Warning):
-        with pytest.raises(GeometryError):
+        with pytest.raises(NoResolutionError):
             exact_resolution(flat)
     # no analytic crossing below the cap: the Monte Carlo search starts
     # at the cap and gives up after its first draw
