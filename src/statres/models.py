@@ -20,6 +20,10 @@ null bin profile p0 against the alternative p1 is exactly normal,
 with m the model's separation measure (``hg_mu`` or ``vsg_nu``), so level
 and power have closed forms. The Poisson statistic sum(Y_i log(p1_i/p0_i))
 is treated by a central-limit report or by Monte Carlo.
+
+A Monte Carlo draw (``draw_statistic``) reduces each chunk of at most
+SAMPLE_CHUNK_VALUES variates to T before it draws the next, so it holds
+one chunk of records plus reps values of T, whatever reps is.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .exceptions import (ModelAssumptionError, ParameterError,
                          UnsupportedMethodError)
 
 MODEL_KINDS = ("poisson", "vsg", "hg")
-# variates per chunk of a Monte Carlo draw: bounds the integer temporary
-# of a Poisson draw to 8 MB whatever reps and n are
+# variates per chunk of a Monte Carlo draw: bounds the records a draw of
+# T holds, and the integer temporary of a Poisson draw, to 8 MB each
+# whatever reps is
 SAMPLE_CHUNK_VALUES = 1 << 20
 
 
@@ -114,16 +119,27 @@ def _resolve_generator(rng) -> np.random.Generator:
     raise ParameterError("rng must be an RngState or numpy Generator")
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of n values in one chunk of about SAMPLE_CHUNK_VALUES."""
+    return max(1, SAMPLE_CHUNK_VALUES // max(1, n))
+
+
 def sample_observations(model: NoiseModel, p, t: float, rng,
-                        reps: int | None = None) -> np.ndarray:
+                        reps: int | None = None,
+                        reduce: Callable | None = None) -> np.ndarray:
     """Draw one observation vector (or a reps-by-n matrix) for bin
     probabilities p under the given model.
 
     Deterministic given the RngState: repeated calls with the same state
-    return the same draws. Rows are drawn into the float output in chunks
-    of about SAMPLE_CHUNK_VALUES variates, so a Poisson draw needs one
-    chunk of integer counts as its only temporary. The generator fills
-    the rows in order, so the result equals a single full-size draw.
+    return the same draws. Rows are drawn in chunks of about
+    SAMPLE_CHUNK_VALUES variates, so a Poisson draw needs one chunk of
+    integer counts as its only temporary. The generator fills the rows in
+    order, so the result equals a single full-size draw.
+
+    With ``reduce``, each chunk of rows is drawn into one reused buffer
+    and handed to ``reduce``, which maps it to one value per row; the
+    result is the vector of those values (length reps), and the draw never
+    holds more than one chunk of records.
     """
     _check_t(t)
     p = np.asarray(p, dtype=float)
@@ -135,19 +151,25 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
                 "poisson model requires strictly positive bin means")
     elif np.any(lam < 0.0):
         raise ModelAssumptionError("bin intensities must be >= 0")
-    out = np.empty((1 if reps is None else reps, lam.size))
-    step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
-    for first in range(0, out.shape[0], step):
-        block = out[first:first + step]
+    shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
+    rows = 1 if reps is None else reps
+    step = _chunk_rows(lam.size)
+    if reduce is None:
+        out = buffer = np.empty((rows, lam.size))
+    else:
+        out, buffer = np.empty(rows), np.empty((min(step, rows), lam.size))
+    for first in range(0, rows, step):
+        size = min(step, rows - first)
+        start = first if reduce is None else 0
+        block = buffer[start:start + size]
         if model.kind == "poisson":
             block[...] = gen.poisson(lam, size=block.shape)
         else:
             gen.standard_normal(out=block)
-    if model.kind == "vsg":
-        out += 2.0 * np.sqrt(lam)
-    elif model.kind == "hg":
-        out += lam
-    return out.reshape(p.shape) if reps is None else out
+            block += shift
+        if reduce is not None:
+            out[first:first + size] = reduce(block)
+    return out.reshape(p.shape) if reps is None and reduce is None else out
 
 
 def _poisson_bins(probs: BinProbabilities) -> BinProbabilities:
@@ -187,14 +209,21 @@ def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
     """Log-likelihood-ratio statistic of p1 against p0 for observations y.
 
     Accepts a single observation vector of length n (returns a float) or a
-    matrix with one observation per row (returns a vector).
+    matrix with one observation per row (returns a vector). A matrix is
+    reduced in the row chunks of a draw (``_chunk_rows``): BLAS may round
+    a row's sum differently with the number of rows in one product, and
+    this way T of a kept record matrix equals, bit for bit, the T that
+    ``draw_statistic`` reduces chunk by chunk from the same draw.
     """
     _check_t(t)
     const, coeff = _statistic_terms(model, probs, t)
     y = np.asarray(y, dtype=float)
-    stat = const + y @ coeff
     if y.ndim == 1:
-        return float(stat)
+        return float(const + y @ coeff)
+    step = _chunk_rows(coeff.size)
+    stat = np.empty(y.shape[0])
+    for first in range(0, y.shape[0], step):
+        stat[first:first + step] = const + y[first:first + step] @ coeff
     return stat
 
 
@@ -295,13 +324,21 @@ def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
                    side: int, reps: int,
                    generator: np.random.Generator) -> np.ndarray:
     """T for reps records drawn under the null (side 0) or the alternative
-    (side 1); the records are dropped once reduced."""
+    (side 1).
+
+    One ``sample_observations`` call draws the records chunk by chunk and
+    reduces each chunk to T with ``lrt_statistic`` before the next is
+    drawn, so the draw holds one chunk of at most SAMPLE_CHUNK_VALUES
+    variates plus the reps values of T, whatever reps is. The values equal
+    ``lrt_statistic`` of the full reps-by-n draw bit for bit.
+    """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
     if model.kind == "poisson":
         probs = _poisson_bins(probs)
-    return lrt_statistic(model, probs, t, sample_observations(
-        model, probs.p1 if side else probs.p0, t, generator, reps=reps))
+    return sample_observations(
+        model, probs.p1 if side else probs.p0, t, generator, reps=reps,
+        reduce=lambda block: lrt_statistic(model, probs, t, block))
 
 
 def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,

@@ -1,6 +1,7 @@
 """Observation models, likelihood-ratio statistics and error rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,67 @@ def test_chunked_draw_equals_one_shot_draw(kind, monkeypatch):
                                  RngState(seed=4))
     assert single.shape == (probs.n,)
     assert np.array_equal(single, want[0])
+
+
+def _full_draw_statistic(model, probs, t, side, reps, generator):
+    records = sample_observations(model, probs.p1 if side else probs.p0, t,
+                                  generator, reps=reps)
+    return lrt_statistic(model, probs, t, records)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("chunk, n, reps", [
+    (64, 20, 101),              # 3 rows a chunk, a last chunk of 2 rows
+    (models.SAMPLE_CHUNK_VALUES, 1000, 2500),  # 1048, 1048 and 404 rows
+])
+def test_chunked_draw_statistic_equals_full_draw(kind, chunk, n, reps,
+                                                 monkeypatch):
+    # T reduced chunk by chunk is T of the whole record matrix, bit for bit
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", chunk)
+    probs = make_probs(n=n, gamma=0.5)
+    model = NoiseModel(kind, thinning=0.9)
+    for side in (0, 1):
+        got = draw_statistic(model, probs, 30.0, side, reps,
+                             RngState(seed=6).generator(side))
+        want = _full_draw_statistic(model, probs, 30.0, side, reps,
+                                    RngState(seed=6).generator(side))
+        assert got.shape == (reps,)
+        assert np.array_equal(got, want)
+
+
+def _draw_peak_bytes(model, probs, reps):
+    generator = RngState(seed=2).generator()
+    tracemalloc.start()
+    try:
+        draw_statistic(model, probs, 30.0, 1, reps, generator)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_chunked_draw_memory_does_not_grow_with_reps(kind, monkeypatch):
+    # tracemalloc sees numpy's buffers: ten times the reps may add the
+    # 8-byte values of T and nothing in proportion to reps x n
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 1 << 14)
+    probs = make_probs(n=100, gamma=0.5)
+    model = NoiseModel(kind)
+    small = _draw_peak_bytes(model, probs, 1000)
+    large = _draw_peak_bytes(model, probs, 10000)
+    assert large - small <= 8 * 9000 + 64 * 1024
+
+
+def test_chunked_draw_statistic_samples_once(monkeypatch):
+    # one sample_observations call per draw, however many chunks it spans
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
+    calls = []
+    original = models.sample_observations
+    monkeypatch.setattr(models, "sample_observations",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    stats = draw_statistic(NoiseModel("poisson"), make_probs(gamma=0.5),
+                           30.0, 0, 500, RngState(seed=1).generator())
+    assert stats.shape == (500,)
+    assert len(calls) == 1
 
 
 def test_poisson_requires_positive_means():
