@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +86,21 @@ class BinProbabilities:
 
 
 def bin_edges(n: int) -> np.ndarray:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError("bin count n must be an integer >= 1")
     return np.linspace(0.0, 1.0, n + 1)
 
 
 def _kernel_bins(psf: PsfModel, center: float, edges: np.ndarray) -> np.ndarray:
     """Kernel mass of a source at ``center`` inside each bin."""
     if psf.kind == "gaussian":
-        zlo = (edges[:-1] - center) / psf.sigma
-        zhi = (edges[1:] - center) / psf.sigma
-        # right of the center the upper tails differ without cancellation
-        return np.where(zlo >= 0.0, ndtr(-zlo) - ndtr(-zhi),
-                        ndtr(zhi) - ndtr(zlo))
+        # neighboring bins share an edge, so each CDF is taken once per
+        # edge; right of the center the upper tails differ without
+        # cancellation
+        z = (edges - center) / psf.sigma
+        lower, upper = ndtr(z), ndtr(-z)
+        return np.where(z[:-1] >= 0.0, upper[:-1] - upper[1:],
+                        lower[1:] - lower[:-1])
     # a peak narrower than a bin gets break points center +- width 4^k,
     # so that no panel holds it whole and reads it as zero
     width = _width(psf)
@@ -115,12 +120,37 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
     n < 1, GeometryError if the configuration leaves the window (checked at
     SourceConfig construction).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("bin count n must be an integer >= 1")
     edges = bin_edges(n)
+    return _profiles(psf, src, n, edges, _kernel_bins(psf, src.x0, edges))
+
+
+def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
+                  n: int) -> Callable[[float], BinProbabilities]:
+    """``bin_probabilities`` of the centered pair as a function of d.
+
+    The null bins do not depend on d, so a search over d integrates them
+    once here; each call integrates the two alternative sources only. A
+    call warns as ``bin_probabilities`` does, the null mass included.
+    """
+    edges = bin_edges(n)
+    null_bins = _kernel_bins(psf, x0, edges)
+
+    def probabilities(d: float) -> BinProbabilities:
+        src = SourceConfig(x0=x0, d=d, weight_q=weight_q)
+        return _profiles(psf, src, n, edges, null_bins)
+
+    return probabilities
+
+
+def _profiles(psf: PsfModel, src: SourceConfig, n: int, edges: np.ndarray,
+              null_bins: np.ndarray) -> BinProbabilities:
+    """p0 and p1 given the null source's kernel bins.
+
+    The warning's stacklevel skips this function and its public caller.
+    """
     pedestal = psf.background / n
-    kernel_bins = [_kernel_bins(psf, src.x0, edges)]
-    p0 = kernel_bins[0] + pedestal
+    kernel_bins = [null_bins]
+    p0 = null_bins + pedestal
 
     if src.d == 0.0 and src.offset_lambda == 0.0:
         # both alternative sources coincide with the null position
@@ -137,7 +167,7 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
         warnings.warn(
             "a source keeps less than 99 percent of its kernel mass "
             "inside [0, 1]; bin probabilities are truncated",
-            MassTruncationWarning, stacklevel=2)
+            MassTruncationWarning, stacklevel=3)
 
     return BinProbabilities(n=n, p0=p0, p1=p1)
 
@@ -148,8 +178,6 @@ def bin_curvature_integrals(psf: PsfModel, x0: float, n: int) -> np.ndarray:
     Each bin integral equals the difference of the kernel's first
     derivative at the bin edges; both kernels have it in closed form.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("bin count n must be an integer >= 1")
     slopes = psf_first_derivative(psf, bin_edges(n) - x0)
     return np.diff(slopes)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -89,7 +90,10 @@ def parse_grid(text: str) -> list[float]:
                 f"grid {text!r} has {count} points; at most "
                 f"{MAX_GRID_POINTS} allowed")
         return [float(lo + k * step) for k in range(count)]
-    return parse_list(text)
+    values = parse_list(text)
+    if not values:
+        raise ParameterError(f"bad grid {text!r}")
+    return values
 
 
 def parse_bool(text: str) -> bool:
@@ -591,8 +595,21 @@ CONFIG_KEYS = frozenset(opt.attr for _, opts, _ in COMMANDS.values()
                         for opt in opts)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """A bad flag or value is a ParameterError: one line, exit 2.
+
+    The subcommand parsers are built from this class too.
+    """
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
+@functools.cache
+def build_parser() -> ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    ``parse_args`` returns a fresh namespace each time."""
+    parser = ArgumentParser(
         prog="statres",
         description="statistical resolution of binned photon-count "
                     "microscopy models")
@@ -607,8 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     shown, lock = set(), threading.Lock()
 
     def format_warning(message, category, *_):
@@ -624,6 +639,7 @@ def main(argv: list[str] | None = None) -> int:
 
     previous, warnings.formatwarning = warnings.formatwarning, format_warning
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)

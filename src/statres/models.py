@@ -107,8 +107,8 @@ def normal_quantile(p) -> np.ndarray:
 
 
 def _check_t(t: float) -> None:
-    if not t >= 1.0:
-        raise ParameterError("illumination time t must be >= 1")
+    if not 1.0 <= t < math.inf:
+        raise ParameterError("illumination time t must be finite and >= 1")
 
 
 def _resolve_generator(rng) -> np.random.Generator:

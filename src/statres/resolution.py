@@ -29,8 +29,8 @@ from typing import Any
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .binning import (SourceConfig, bin_curvature_integrals,
-                      bin_information_sum, bin_probabilities)
+from .binning import (BinProbabilities, bin_curvature_integrals,
+                      bin_information_sum, pair_profiles)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -69,8 +69,9 @@ class ResolutionQuery:
             raise ParameterError("alpha must lie in (0, 1/2)")
         if not 0.0 < self.beta < 0.5:
             raise ParameterError("beta must lie in (0, 1/2)")
-        if not self.t >= 1.0:
-            raise ParameterError("illumination time t must be >= 1")
+        if not 1.0 <= self.t < math.inf:
+            raise ParameterError(
+                "illumination time t must be finite and >= 1")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ParameterError("bin count n must be an integer >= 1")
         if not 0.0 < self.x0 < 1.0:
@@ -164,22 +165,44 @@ def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
                (1.0 - margin - x0) / weight_q)
 
 
-def _power_gap(query: ResolutionQuery, d: float) -> float:
-    """Closed-form power at separation d minus the target 1 - beta.
+class _PowerGap:
+    """Closed-form power at separation d minus the target 1 - beta, for one
+    query: exact for hg/vsg, CLT for poisson.
 
-    Exact for hg/vsg, CLT for poisson.
+    The null bins are integrated once per query, and ``known`` keeps the
+    gap of every separation evaluated. ``crossing`` keeps the smallest
+    point of the root grid evaluated whose gap is >= 0, with its bin
+    probabilities: once ``_power_root`` ends, the root it reports.
     """
-    if d == 0.0:
-        # the pair coincides with the single source: power is the level
-        return query.alpha - (1.0 - query.beta)
-    src = SourceConfig(x0=query.x0, d=d, weight_q=query.weight_q)
-    probs = bin_probabilities(query.psf, src, query.n)
-    return (analytic_report(query.model, probs, query.t, query.alpha).power
-            - (1.0 - query.beta))
+
+    def __init__(self, query: ResolutionQuery):
+        self.query = query
+        self.profiles = pair_profiles(query.psf, query.x0, query.weight_q,
+                                      query.n)
+        self.known: dict[float, float] = {}
+        self.crossing: tuple[float, BinProbabilities] | None = None
+
+    def __call__(self, d: float) -> float:
+        if d not in self.known:
+            self.known[d] = self._evaluate(d)
+        return self.known[d]
+
+    def _evaluate(self, d: float) -> float:
+        query = self.query
+        if d == 0.0:
+            # the pair coincides with the single source: power is the level
+            return query.alpha - (1.0 - query.beta)
+        probs = self.profiles(d)
+        gap = (analytic_report(query.model, probs, query.t,
+                               query.alpha).power - (1.0 - query.beta))
+        if (gap >= 0.0 and (d / ROOT_GRID).is_integer()
+                and (self.crossing is None or d < self.crossing[0])):
+            self.crossing = (d, probs)
+        return gap
 
 
-def _power_root(query: ResolutionQuery, lo: float, hi: float,
-                known: dict[float, float]) -> tuple[float, float, int]:
+def _power_root(gap: _PowerGap, lo: float,
+                hi: float) -> tuple[float, float, int]:
     """Root of the power gap in the bracket [lo, hi] by Brent's method.
 
     The root reported is the first point of the grid k * ROOT_GRID whose
@@ -188,16 +211,10 @@ def _power_root(query: ResolutionQuery, lo: float, hi: float,
     exact arithmetic but not in the last bits (hg with and without a
     background pedestal) give the same root.
 
-    ``known`` maps separations already evaluated (the bracket ends among
-    them) to their gaps and is extended in place. Returns the root, its
-    gap and the number of gap evaluations, the known ones included.
+    Returns the root, its gap and the number of gap evaluations, those
+    made before the call (the bracket ends among them) included.
     """
     from scipy.optimize import brentq
-
-    def gap(d: float) -> float:
-        if d not in known:
-            known[d] = _power_gap(query, d)
-        return known[d]
 
     k = math.floor(brentq(gap, lo, hi, xtol=ROOT_GRID) / ROOT_GRID)
     while gap(k * ROOT_GRID) >= 0.0:
@@ -205,7 +222,7 @@ def _power_root(query: ResolutionQuery, lo: float, hi: float,
     while gap((k + 1) * ROOT_GRID) < 0.0:
         k += 1
     root = (k + 1) * ROOT_GRID
-    return root, gap(root), len(known)
+    return root, gap(root), len(gap.known)
 
 
 def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
@@ -222,17 +239,17 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
             "exact resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
     hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
-    known = {hi: _power_gap(query, hi)}
-    if known[hi] < 0.0:
+    gap = _PowerGap(query)
+    if gap(hi) < 0.0:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
-    d, residual, evaluations = _power_root(query, 0.0, hi, known)
+    d, residual, evaluations = _power_root(gap, 0.0, hi)
     diag = {"iterations": evaluations, "residual": residual}
     return _checked_result(d, "exact", diag)
 
 
-def _analytic_start(query: ResolutionQuery, fwhm: float, cap: float) -> float:
+def _analytic_start(gap: _PowerGap, fwhm: float, cap: float) -> float:
     """Separation where the closed-form power reaches 1 - beta, or the cap.
 
     The bracket grows from min(FWHM, cap) by the Monte Carlo expansion
@@ -240,13 +257,11 @@ def _analytic_start(query: ResolutionQuery, fwhm: float, cap: float) -> float:
     separation is ever evaluated.
     """
     lo, hi = 0.0, min(fwhm, cap)
-    known = {hi: _power_gap(query, hi)}
-    while known[hi] < 0.0:
+    while gap(hi) < 0.0:
         if hi >= cap * (1.0 - 1e-12):
             return cap
         lo, hi = hi, min(MC_EXPANSION_FACTOR * hi, cap)
-        known[hi] = _power_gap(query, hi)
-    return _power_root(query, lo, hi, known)[0]
+    return _power_root(gap, lo, hi)[0]
 
 
 def mc_resolution(query: ResolutionQuery, reps: int = 10000,
@@ -279,8 +294,11 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     model, t = query.model, query.t
 
     def type2(d: float, phase: int, iteration: int) -> float:
-        src = SourceConfig(x0=query.x0, d=d, weight_q=query.weight_q)
-        probs = bin_probabilities(query.psf, src, query.n)
+        # the first draw is at d_a, which the analytic start has integrated
+        if gap.crossing is not None and gap.crossing[0] == d:
+            probs = gap.crossing[1]
+        else:
+            probs = gap.profiles(d)
         threshold = mc_threshold(
             model, probs, t, query.alpha, threshold_mode,
             lambda: draw_statistic(model, probs, t, 0, reps,
@@ -298,7 +316,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         raise GeometryError(
             "x0 leaves no room for two sources inside (0.05, 0.95)")
 
-    start = _analytic_start(query, fwhm, cap)
+    gap = _PowerGap(query)
+    start = _analytic_start(gap, fwhm, cap)
     d = start
     beta_hat = type2(d, 0, 0)
     # walk outward until a probe lands in the band or the band is

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.special import erf
 
 from statres.binning import (BinProbabilities, SourceConfig, bin_edges,
-                             bin_curvature_integrals, bin_probabilities)
+                             bin_curvature_integrals, bin_probabilities,
+                             pair_profiles)
 from statres.exceptions import (GeometryError, MassTruncationWarning,
                                 ParameterError)
 from statres.psf import (PsfModel, kernel_value, mass_fraction,
@@ -223,3 +224,26 @@ def test_bin_probabilities_type():
     assert probs.n == 8
     assert probs.p0.shape == (8,)
     assert probs.p1.shape == (8,)
+
+
+@pytest.mark.parametrize("psf", [PsfModel.gaussian(0.08),
+                                 PsfModel.gaussian(0.05, background=2.0),
+                                 PsfModel.airy(0.2)])
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+def test_pair_profiles_equal_bin_probabilities_bitwise(psf):
+    profiles = pair_profiles(psf, 0.4, 0.3, 37)
+    for d in (0.0, 0.01, 0.1, 0.3):
+        got = profiles(d)
+        want = bin_probabilities(psf, SourceConfig(0.4, d, 0.3), 37)
+        assert got.n == want.n
+        assert np.array_equal(got.p0, want.p0)
+        assert np.array_equal(got.p1, want.p1)
+
+
+def test_pair_profiles_check_the_null_mass_on_every_call():
+    # at d = 0 only the null source is integrated, and it is truncated
+    profiles = pair_profiles(PsfModel.gaussian(0.3), 0.5, 0.5, 20)
+    for d in (0.0, 0.0, 0.1):
+        with pytest.warns(MassTruncationWarning):
+            profiles(d)

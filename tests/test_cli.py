@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import statres
-from statres.cli import main, parse_grid, parse_psf
+from statres.cli import build_parser, main, parse_grid, parse_psf
 from statres.exceptions import MassTruncationWarning, ParameterError
 
 pytestmark = pytest.mark.filterwarnings(
@@ -495,6 +495,13 @@ def test_exact_narrow_gaussian_resolves_without_warning(capsys):
     ["simulate", "--method", "formula", "--threads", "-1"],
     ["simulate", "--method", "formula", "--models", ","],
     ["simulate", "--method", "formula", "--models", "poisson,poisson"],
+    ["scan", "--grid", ","],
+    ["resolve", "--t", "inf"],
+    ["power", "--d", "0.1", "--method", "mc", "--t", "inf"],
+    ["resolve", "--bogus"],
+    ["resolve", "--model", "gauss"],
+    ["frobnicate"],
+    [],
 ])
 def test_invalid_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -506,6 +513,31 @@ def test_model_assumption_violation_exits_4(capsys):
     code, out, err = run(capsys, ["check", "--riemann", "--psf", "airy:0.2"])
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_argument_error_prints_one_line(capsys):
+    # argparse's usage block is not printed, and main returns the code
+    code, out, err = run(capsys, ["resolve", "--n", "abc"])
+    assert (code, out) == (2, "")
+    assert err == "error: argument --n: invalid int value: 'abc'\n"
+
+
+def test_help_flag_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["resolve", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: statres resolve ")
+
+
+def test_cached_parser_carries_no_state(capsys):
+    assert build_parser() is build_parser()
+    query = ["resolve", "--method", "exact", "--model", "vsg"]
+    first = run(capsys, query)
+    assert run(capsys, ["resolve", "--n", "abc", "--model", "hg"])[0] == 2
+    assert run(capsys, ["check", "--riemann", "--n-grid", "20"])[0] == 0
+    again = run(capsys, query)
+    assert first == again and first[0] == 0
+    assert again[1] == run_fresh("-m", "statres.cli", *query).stdout
 
 
 def test_version_flag(capsys):

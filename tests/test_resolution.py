@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import statres.binning as binning
 import statres.models as models
 import statres.resolution as resolution
 from statres.exceptions import (ConvergenceWarning, GeometryError,
@@ -205,6 +206,32 @@ def test_mc_resolution_starts_at_the_analytic_separation():
     assert trajectory[0][0] == diag["start"]
     assert trajectory[-1] == (result.d, diag["beta_hat"])
     assert len(trajectory) == 1 + diag["expansions"] + diag["iterations"]
+
+
+def record_kernel_centers(monkeypatch):
+    centers = []
+    original = binning._kernel_bins
+    monkeypatch.setattr(binning, "_kernel_bins",
+                        lambda psf, center, edges: centers.append(center)
+                        or original(psf, center, edges))
+    return centers
+
+
+def test_exact_resolution_integrates_the_null_once(monkeypatch):
+    centers = record_kernel_centers(monkeypatch)
+    result = exact_resolution(make_query("vsg", t=20.0, n=20, x0=0.45))
+    assert centers.count(0.45) == 1
+    # the two alternative sources of every d > 0 evaluated, no more
+    assert len(centers) == 1 + 2 * (result.diagnostics["iterations"] - 1)
+
+
+def test_mc_first_draw_reuses_the_analytic_start_bins(monkeypatch):
+    centers = record_kernel_centers(monkeypatch)
+    query = make_query("vsg", t=20.0, n=20)
+    result = mc_resolution(query, reps=2000, rng=RngState(seed=0))
+    start = SourceConfig(x0=query.x0, d=result.diagnostics["start"])
+    assert centers.count(query.x0) == 1
+    assert centers.count(start.x2) == 1
 
 
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
