@@ -22,9 +22,8 @@ from .exceptions import (ConvergenceWarning, GeometryError,
                          ParameterError, StatresError,
                          UnsupportedMethodError)
 from .models import (NoiseModel, RngState, TestReport, exact_error_rates,
-                     hg_mu, lrt_statistic, mc_error_rates, normal_cdf,
-                     normal_quantile, poisson_clt_report,
-                     sample_observations, vsg_nu)
+                     hg_mu, lrt_statistic, mc_error_rates,
+                     poisson_clt_report, sample_observations, vsg_nu)
 from .psf import (PsfModel, eval_psf, psf_fwhm, psf_second_derivative,
                   sted_narrow)
 from .resolution import (ResolutionQuery, ResolutionResult, acuna_power,
@@ -45,8 +44,8 @@ __all__ = [
     "criterion_alpha", "detection_boundary",
     "eval_psf", "exact_error_rates", "exact_resolution",
     "finite_n_resolution", "hardest_alternative_scan", "hg_mu",
-    "lrt_statistic", "mc_error_rates", "mc_resolution", "normal_cdf",
-    "normal_quantile", "poisson_clt_report", "psf_fwhm",
+    "lrt_statistic", "mc_error_rates", "mc_resolution",
+    "poisson_clt_report", "psf_fwhm",
     "psf_second_derivative", "resolve_query", "riemann_convergence_check",
     "sample_observations", "simulation_sweep", "sted_improvement",
     "sted_narrow", "table1", "vsg_nu", "weight_scan",

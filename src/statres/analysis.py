@@ -222,30 +222,29 @@ def _sweep_point(spec: SweepSpec, kind: str, index: int) -> dict:
     fixed = {"fwhm": spec.fwhm, "t": spec.t, "n": spec.n}
     fixed[spec.swept] = value
     model = NoiseModel(kind)
-    record = {"model": kind, "swept_var": spec.swept,
-              "swept_value": float(value), "method": spec.method,
-              "reps": 0, "seed": spec.seed, "level": spec.alpha,
-              "power": 1.0 - spec.alpha, "mc_se": 0.0}
     if spec.method == "formula":
-        record["d"] = detection_boundary(model, fwhm=fixed["fwhm"],
-                                         t=fixed["t"], n=int(fixed["n"]),
-                                         alpha=spec.alpha, beta=spec.alpha)
-        return record
-    query = ResolutionQuery(model=model,
-                            psf=PsfModel.gaussian_from_fwhm(fixed["fwhm"]),
-                            n=int(fixed["n"]), t=float(fixed["t"]),
-                            alpha=spec.alpha, beta=spec.alpha)
-    # streams depend on (kind, grid index) only, so results do not change
-    # with worker count or with the set of models requested
-    stream = ("poisson", "vsg", "hg").index(kind) * 100000 + index
-    result = mc_resolution(query, reps=spec.reps,
-                           rng=RngState(seed=spec.seed, stream=stream),
-                           threshold_mode=spec.threshold_mode)
-    diag = result.diagnostics
-    record.update({"d": result.d, "reps": spec.reps,
-                   "power": 1.0 - diag["beta_hat"],
-                   "mc_se": diag["mc_se"]})
-    return record
+        d = detection_boundary(model, fwhm=fixed["fwhm"], t=fixed["t"],
+                               n=int(fixed["n"]), alpha=spec.alpha,
+                               beta=spec.alpha)
+        power, mc_se, reps = 1.0 - spec.alpha, 0.0, 0
+    else:
+        query = ResolutionQuery(
+            model=model, psf=PsfModel.gaussian_from_fwhm(fixed["fwhm"]),
+            n=int(fixed["n"]), t=float(fixed["t"]), alpha=spec.alpha,
+            beta=spec.alpha)
+        # streams depend on (kind, grid index) only, so results do not
+        # change with worker count or with the set of models requested
+        stream = ("poisson", "vsg", "hg").index(kind) * 100000 + index
+        result = mc_resolution(query, reps=spec.reps,
+                               rng=RngState(seed=spec.seed, stream=stream),
+                               threshold_mode=spec.threshold_mode)
+        diag = result.diagnostics
+        d, power, mc_se, reps = (result.d, 1.0 - diag["beta_hat"],
+                                 diag["mc_se"], spec.reps)
+    return {"model": kind, "swept_var": spec.swept,
+            "swept_value": float(value), "d": d, "method": spec.method,
+            "power": power, "level": spec.alpha, "mc_se": mc_se,
+            "reps": reps, "seed": spec.seed}
 
 
 def simulation_sweep(spec: SweepSpec) -> tuple[list[dict], dict[str, FitResult]]:

@@ -6,9 +6,9 @@ fits), tables (built-in reference tables), scan (nuisance-parameter
 scans), check (distributional and convergence diagnostics).
 
 Wire formats: CSV (meta as leading ``# key = value`` comment lines, then
-a header row) and JSON (object with "meta" and "records"); the tables
-subcommand also has a human-readable text view, the only place where
-probabilities appear as percentages. stdout carries data, stderr carries
+a header row of the record keys) and JSON (object with "meta" and
+"records"); the tables subcommand also has a human-readable text view,
+the only place where probabilities appear as percentages. stdout carries data, stderr carries
 messages, each warning as one ``warning: <Category>: <message>`` line.
 Option precedence is flags over config file over defaults; the
 config file is line-oriented ``key = value`` text keyed by flag names.
@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 parameter error, 3 no resolution in range,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -59,11 +60,15 @@ MAX_GRID_POINTS = 100_000
 
 
 def parse_list(text: str, conv: Callable[[str], object] = float) -> list:
-    """Comma list whose entries conv reads, as for a one-value option."""
+    """Comma list of at least one entry, each read by conv as for a
+    one-value option."""
     try:
-        return [conv(v) for v in text.split(",") if v.strip()]
+        values = [conv(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad number list {text!r}") from exc
+    if not values:
+        raise ParameterError(f"bad number list {text!r}")
+    return values
 
 
 def parse_grid(text: str) -> list[float]:
@@ -90,10 +95,7 @@ def parse_grid(text: str) -> list[float]:
                 f"grid {text!r} has {count} points; at most "
                 f"{MAX_GRID_POINTS} allowed")
         return [float(lo + k * step) for k in range(count)]
-    values = parse_list(text)
-    if not values:
-        raise ParameterError(f"bad grid {text!r}")
-    return values
+    return parse_list(text)
 
 
 def parse_bool(text: str) -> bool:
@@ -116,6 +118,12 @@ def parse_psf(spec: str, background: float = 0.0) -> PsfModel:
     if kind == "airy":
         return PsfModel.airy(width, background=background)
     raise ParameterError(f"unknown psf kind {kind!r}")
+
+
+def parse_query_model(opts: dict) -> tuple[PsfModel, NoiseModel]:
+    """The kernel, with its background, and the observation model."""
+    return (parse_psf(opts["psf"], background=opts["gamma"]),
+            NoiseModel(opts["model"], thinning=opts["eta"]))
 
 
 @dataclass(frozen=True)
@@ -248,10 +256,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(stream, meta: dict, columns: list[str],
-              records: list[dict]) -> None:
+def write_csv(stream, meta: dict, records: list[dict]) -> None:
+    """Meta comment lines, then a header of the record keys in first-seen
+    order, then one row per record."""
     for key, value in meta.items():
         stream.write(f"# {key} = {format_cell(value)}\n")
+    columns = list(dict.fromkeys(key for record in records for key in record))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for record in records:
@@ -265,37 +275,22 @@ def write_json(stream, meta: dict, records: list[dict]) -> None:
     stream.write("\n")
 
 
-def emit(opts: dict, meta: dict, columns: list[str], records: list[dict],
+def emit(opts: dict, meta: dict, records: list[dict],
          table_text: str | None = None) -> None:
-    stream = sys.stdout
-    handle = None
-    if opts.get("output"):
-        try:
-            handle = open(opts["output"], "w", encoding="utf-8")
-        except OSError as exc:
-            raise ParameterError(
-                f"cannot write {opts['output']}: {exc.strerror}") from None
-        stream = handle
+    path = opts["output"]
     try:
-        fmt = opts.get("format", "csv")
-        if fmt == "json":
+        target = (open(path, "w", encoding="utf-8") if path
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot write {path}: {exc.strerror}") from None
+    with target as stream:
+        if opts["format"] == "json":
             write_json(stream, meta, records)
-        elif fmt == "table" and table_text is not None:
+        elif opts["format"] == "table" and table_text is not None:
             stream.write(table_text)
         else:
-            write_csv(stream, meta, columns, records)
-    finally:
-        if handle is not None:
-            handle.close()
-
-
-def base_meta(command: str, opts: dict) -> dict:
-    meta = {"version": __version__, "command": command}
-    for key, value in opts.items():
-        if key in ("format", "output", "config"):
-            continue
-        meta[key] = value
-    return meta
+            write_csv(stream, meta, records)
 
 
 # ----------------------------------------------------------------- resolve
@@ -308,10 +303,8 @@ RESOLVE_OPTS = ([MODEL_OPT]
                 + MC_OPTS
                 + COMMON_OUTPUT)
 
-def cmd_resolve(args: argparse.Namespace) -> int:
-    opts = merge_options(args, RESOLVE_OPTS)
-    psf = parse_psf(opts["psf"], background=opts["gamma"])
-    model = NoiseModel(opts["model"], thinning=opts["eta"])
+def cmd_resolve(opts: dict) -> tuple[list[dict], dict]:
+    psf, model = parse_query_model(opts)
     query = ResolutionQuery(model=model, psf=psf, x0=opts["x0"],
                             weight_q=opts["q_weight"], n=opts["n"],
                             t=opts["t"], alpha=opts["alpha"],
@@ -333,13 +326,11 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         "seed": opts["seed"],
         "substitution": substitution,
     }
-    meta = base_meta("resolve", opts)
-    meta["substitution"] = substitution
+    meta = {"substitution": substitution}
     for key in ("note", "converged", "iterations", "expansions", "start"):
         if key in diag:
             meta[key] = diag[key]
-    emit(opts, meta, list(record), [record])
-    return 0
+    return [record], meta
 
 
 # ------------------------------------------------------------------- power
@@ -355,15 +346,15 @@ POWER_OPTS = ([MODEL_OPT,
               + MC_OPTS
               + COMMON_OUTPUT)
 
-def cmd_power(args: argparse.Namespace) -> int:
-    opts = merge_options(args, POWER_OPTS)
+def cmd_power(opts: dict) -> tuple[list[dict], dict]:
     if opts["d"] is None:
         raise ParameterError("power requires --d")
-    psf = parse_psf(opts["psf"], background=opts["gamma"])
-    model = NoiseModel(opts["model"], thinning=opts["eta"])
-    method = opts["method"]
-    if method is None:
-        method = "clt" if model.kind == "poisson" else "exact"
+    psf, model = parse_query_model(opts)
+    method = opts["method"] or ("clt" if model.kind == "poisson"
+                                else "exact")
+    if method == "clt" and model.kind != "poisson":
+        raise UnsupportedMethodError(
+            "the clt method applies to the poisson model only")
     src = SourceConfig(x0=opts["x0"], d=opts["d"],
                        weight_q=opts["q_weight"],
                        offset_lambda=opts["offset_lambda"])
@@ -371,9 +362,6 @@ def cmd_power(args: argparse.Namespace) -> int:
     if method == "exact":
         report = exact_error_rates(model, probs, opts["t"], opts["alpha"])
     elif method == "clt":
-        if model.kind != "poisson":
-            raise UnsupportedMethodError(
-                "the clt method applies to the poisson model only")
         report = analytic_report(model, probs, opts["t"], opts["alpha"])
     else:
         report = mc_error_rates(model, probs, opts["t"], opts["alpha"],
@@ -384,8 +372,7 @@ def cmd_power(args: argparse.Namespace) -> int:
               "threshold": report.threshold, "level": report.level,
               "power": report.power, "mc_se": report.mc_se,
               "reps": report.reps, "seed": opts["seed"]}
-    emit(opts, base_meta("power", opts), list(record), [record])
-    return 0
+    return [record], {}
 
 
 # ---------------------------------------------------------------- simulate
@@ -408,12 +395,8 @@ SIMULATE_OPTS = ([Opt("sweep", str, "fwhm", "swept variable",
                         "rng seed (default: STATRES_SEED or 0)")]
                  + COMMON_OUTPUT)
 
-SIMULATE_COLUMNS = ["model", "swept_var", "swept_value", "d", "method",
-                    "power", "level", "mc_se", "reps", "seed"]
 
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = merge_options(args, SIMULATE_OPTS)
+def cmd_simulate(opts: dict) -> tuple[list[dict], dict]:
     grid_text = opts["grid"] or DEFAULT_GRIDS[opts["sweep"]]
     grid = parse_grid(grid_text)
     models = tuple(m.strip() for m in opts["models"].split(",") if m.strip())
@@ -425,14 +408,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                      threshold_mode=opts["threshold"],
                      threads=opts["threads"])
     records, fits = simulation_sweep(spec)
-    meta = base_meta("simulate", opts)
-    meta["grid"] = grid_text
+    meta = {"grid": grid_text}
     for kind, fit in fits.items():
         meta[f"fit_{kind}_slope"] = fit.slope
         meta[f"fit_{kind}_intercept"] = fit.intercept
         meta[f"fit_{kind}_residual_rms"] = fit.residual_rms
-    emit(opts, meta, SIMULATE_COLUMNS, records)
-    return 0
+    return records, meta
 
 
 # ------------------------------------------------------------------ tables
@@ -443,30 +424,21 @@ TABLES_OPTS = [Opt("which", str, "both", "which table", ("1", "2", "both")),
                Opt("times", str, "10,20,30,40,50",
                    "illumination times for the criterion table"),
                Opt("format", str, "table", "output format",
-                   ("csv", "json", "table")),
-               Opt("output", str, None, "write to this file"),
-               Opt("config", str, None, "key = value config file")]
-
-TABLES_COLUMNS = ["table", "alpha", "hg", "poisson_vsg", "t", "abbe",
-                  "rayleigh"]
+                   ("csv", "json", "table"))] + COMMON_OUTPUT[1:]
 
 
-def tables_records(opts: dict) -> tuple[list[dict], list[dict]]:
+def cmd_tables(opts: dict) -> tuple[list[dict], dict, str]:
+    """The selected tables as records and as the text view, the one place
+    where probabilities appear as percentages."""
+    which = opts["which"]
     alphas = parse_list(opts["alphas"])
     times = parse_list(opts["times"])
-    rows1 = [{"table": 1, **row} for row in table1(alphas)]
-    rows2 = [{"table": 2, "t": t,
-              "abbe": criterion_alpha("abbe", t),
-              "rayleigh": criterion_alpha("rayleigh", t)} for t in times]
-    return rows1, rows2
-
-
-def tables_text(rows1: list[dict], rows2: list[dict], which: str) -> str:
-    lines = []
+    records, lines = [], []
     if which in ("1", "both"):
         lines.append("Resolution-law coefficients (alpha = beta)")
         lines.append(f"{'alpha':>8}  {'hg':>8}  {'poisson/vsg':>12}")
-        for row in rows1:
+        for row in table1(alphas):
+            records.append({"table": 1, **row})
             lines.append(f"{row['alpha']:>8g}  {row['hg']:>8.2f}  "
                          f"{row['poisson_vsg']:>12.2f}")
     if which == "both":
@@ -475,28 +447,15 @@ def tables_text(rows1: list[dict], rows2: list[dict], which: str) -> str:
         lines.append("Error level at which a classical criterion distance "
                      "is resolved (percent)")
         lines.append(f"{'t':>8}  {'abbe':>10}  {'rayleigh':>10}")
-        for row in rows2:
+        for t in times:
+            row = {"table": 2, "t": t,
+                   "abbe": criterion_alpha("abbe", t),
+                   "rayleigh": criterion_alpha("rayleigh", t)}
+            records.append(row)
             abbe = f"{100.0 * row['abbe']:.3g}"
             rayleigh = f"{100.0 * row['rayleigh']:.3g}"
-            lines.append(f"{row['t']:>8g}  {abbe:>10}  {rayleigh:>10}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    opts = merge_options(args, TABLES_OPTS)
-    rows1, rows2 = tables_records(opts)
-    which = opts["which"]
-    records = []
-    if which in ("1", "both"):
-        records.extend(rows1)
-    if which in ("2", "both"):
-        records.extend(rows2)
-    columns = [c for c in TABLES_COLUMNS
-               if any(c in r for r in records)]
-    meta = base_meta("tables", opts)
-    emit(opts, meta, columns, records,
-         table_text=tables_text(rows1, rows2, which))
-    return 0
+            lines.append(f"{t:>8g}  {abbe:>10}  {rayleigh:>10}")
+    return records, {}, "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------------- scan
@@ -511,26 +470,19 @@ SCAN_OPTS = ([Opt("kind", str, "lambda", "scan variable",
              + COMMON_OUTPUT)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    opts = merge_options(args, SCAN_OPTS)
-    psf = parse_psf(opts["psf"], background=opts["gamma"])
-    model = NoiseModel(opts["model"], thinning=opts["eta"])
-    meta = base_meta("scan", opts)
+def cmd_scan(opts: dict) -> tuple[list[dict], dict]:
+    psf, model = parse_query_model(opts)
     if opts["kind"] == "lambda":
         grid = parse_grid(opts["grid"] or "-0.05:0.05:0.01")
         records, lambda_star = hardest_alternative_scan(
             model, psf, d=opts["d"], t=opts["t"], n=opts["n"],
             alpha=opts["alpha"], lambdas=grid, x0=opts["x0"])
-        meta["lambda_star"] = lambda_star
-        emit(opts, meta, ["offset_lambda", "power", "feasible"], records)
-    else:
-        grid = parse_grid(opts["grid"] or "0.1:0.9:0.1")
-        query = ResolutionQuery(model=model, psf=psf, x0=opts["x0"],
-                                n=opts["n"], t=opts["t"],
-                                alpha=opts["alpha"], beta=opts["beta"])
-        records = weight_scan(query, grid)
-        emit(opts, meta, ["weight_q", "d"], records)
-    return 0
+        return records, {"lambda_star": lambda_star}
+    grid = parse_grid(opts["grid"] or "0.1:0.9:0.1")
+    query = ResolutionQuery(model=model, psf=psf, x0=opts["x0"],
+                            n=opts["n"], t=opts["t"],
+                            alpha=opts["alpha"], beta=opts["beta"])
+    return weight_scan(query, grid), {}
 
 
 # ------------------------------------------------------------------- check
@@ -548,8 +500,7 @@ CHECK_OPTS = ([Opt("clt", parse_bool, False, "poisson CLT normality check"),
               + COMMON_OUTPUT)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    opts = merge_options(args, CHECK_OPTS)
+def cmd_check(opts: dict) -> tuple[list[dict], dict]:
     modes = [f"--{name}" for name in ("clt", "hg-normality", "riemann")
              if opts[name.replace("-", "_")]]
     if len(modes) != 1:
@@ -557,13 +508,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             "check requires one of --clt, --hg-normality, --riemann"
             + (f"; got {', '.join(modes)}" if modes else ""))
     psf = parse_psf(opts["psf"], background=opts["gamma"])
-    meta = base_meta("check", opts)
     if opts["riemann"]:
-        records, meta["limit"] = riemann_convergence_check(
+        records, limit = riemann_convergence_check(
             psf, parse_list(opts["n_grid"], int), x0=opts["x0"])
-        emit(opts, meta, ["check", "n", "riemann_sum", "gap", "passed"],
-             [{"check": "riemann-sum", **r} for r in records])
-        return 0
+        return ([{"check": "riemann-sum", **r} for r in records],
+                {"limit": limit})
     model = NoiseModel("poisson" if opts["clt"] else "hg",
                        thinning=opts["eta"])
     d = opts["d"] if opts["d"] is not None else 0.5 * psf_fwhm(psf)
@@ -571,9 +520,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     probs = bin_probabilities(psf, src, opts["n"])
     checks = normality_check(model, probs, opts["t"], opts["reps"],
                              RngState(seed=opts["seed"]))
-    records = [{**r, "seed": opts["seed"]} for r in checks]
-    emit(opts, meta, list(records[0]), records)
-    return 0
+    return [{**r, "seed": opts["seed"]} for r in checks], {}
 
 
 # -------------------------------------------------------------------- main
@@ -593,6 +540,8 @@ COMMANDS = {
 
 CONFIG_KEYS = frozenset(opt.attr for _, opts, _ in COMMANDS.values()
                         for opt in opts)
+# options that choose where and how to write, not what to compute
+OUTPUT_KEYS = frozenset(opt.attr for opt in COMMON_OUTPUT)
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -616,11 +565,25 @@ def build_parser() -> ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"statres {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, opts, help_text) in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        add_options(sub, opts)
-        sub.set_defaults(func=func)
+    for name, (_, opts, help_text) in COMMANDS.items():
+        add_options(subparsers.add_parser(name, help=help_text), opts)
     return parser
+
+
+def run_command(args: argparse.Namespace) -> None:
+    """Merge the command's options, run it and write its output.
+
+    A command maps the merged options to its records and the meta keys
+    it adds after the version, the command and the options; tables
+    returns its text view as well.
+    """
+    command, opt_list, _ = COMMANDS[args.command]
+    opts = merge_options(args, opt_list)
+    records, added, *table_text = command(opts)
+    meta = {"version": __version__, "command": args.command}
+    meta.update((k, v) for k, v in opts.items() if k not in OUTPUT_KEYS)
+    meta.update(added)
+    emit(opts, meta, records, *table_text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -639,8 +602,8 @@ def main(argv: list[str] | None = None) -> int:
 
     previous, warnings.formatwarning = warnings.formatwarning, format_warning
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        run_command(build_parser().parse_args(argv))
+        return 0
     except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

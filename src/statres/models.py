@@ -44,6 +44,10 @@ MODEL_KINDS = ("poisson", "vsg", "hg")
 # T holds, and the integer temporary of a Poisson draw, to 8 MB each
 # whatever reps is
 SAMPLE_CHUNK_VALUES = 1 << 20
+# largest mean numpy's Poisson sampler accepts: int64 max less ten of its
+# square roots
+POISSON_MAX_MEAN = (np.iinfo(np.int64).max
+                    - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -93,19 +97,6 @@ class TestReport:
     reps: int = 0
 
 
-def normal_cdf(x) -> np.ndarray:
-    """Standard normal distribution function."""
-    return ndtr(np.asarray(x, dtype=float))
-
-
-def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile function; requires p strictly in (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ParameterError("quantile argument must lie in (0, 1)")
-    return ndtri(p)
-
-
 def _check_t(t: float) -> None:
     if not 1.0 <= t < math.inf:
         raise ParameterError("illumination time t must be finite and >= 1")
@@ -149,6 +140,10 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
         if np.any(lam <= 0.0):
             raise ModelAssumptionError(
                 "poisson model requires strictly positive bin means")
+        if np.any(lam > POISSON_MAX_MEAN):
+            raise ModelAssumptionError(
+                f"poisson bin mean {lam.max():.3g} is above "
+                f"{POISSON_MAX_MEAN:.3g}, the largest that can be sampled")
     elif np.any(lam < 0.0):
         raise ModelAssumptionError("bin intensities must be >= 0")
     shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, j1, jv, ndtr
@@ -35,17 +34,9 @@ GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 AIRY_TOTAL_MASS_U = 32.0 / (3.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
-def airy_fwhm_u() -> float:
-    """FWHM of the dimensionless Airy profile (2 J1(u)/u)^2.
-
-    The half-maximum point solves J1(u) = u / (2 sqrt(2)); twice its root.
-    """
-    from scipy.optimize import brentq
-
-    root = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 0.5, 1.0, 2.5,
-                  xtol=1e-14, rtol=1e-15)
-    return 2.0 * root
+# FWHM of the dimensionless Airy profile (2 J1(u)/u)^2: twice the root of
+# J1(u) = u / (2 sqrt(2)), its half-maximum point
+AIRY_FWHM_U = 3.2326798966214074
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ def kernel_value(psf: PsfModel, u) -> np.ndarray:
     if psf.kind == "gaussian":
         s = psf.sigma
         return np.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-    scale = airy_fwhm_u() / psf.fwhm
+    scale = AIRY_FWHM_U / psf.fwhm
     v = scale * u
     ratio = np.ones_like(v)
     np.divide(2.0 * j1(v), v, out=ratio, where=v != 0.0)
@@ -122,7 +113,7 @@ def _airy_amplitude(psf: PsfModel, u) -> tuple:
     |v| = 1e-8 the series 1, -v/4, -1/4 are exact in double precision
     (and J2(v) underflows below 1e-151).
     """
-    scale = airy_fwhm_u() / psf.fwhm
+    scale = AIRY_FWHM_U / psf.fwhm
     v = scale * np.asarray(u, dtype=float)
     small = np.abs(v) < 1e-8
     w = np.where(small, 1.0, v)
@@ -217,7 +208,7 @@ def _width(psf: PsfModel) -> float:
     """Length scale of the kernel's peak: sigma, or the Airy unit 1/s."""
     if psf.kind == "gaussian":
         return psf.sigma
-    return psf.fwhm / airy_fwhm_u()
+    return psf.fwhm / AIRY_FWHM_U
 
 
 def _quad_unit(func, center: float, width: float) -> float:

@@ -502,6 +502,8 @@ def test_exact_narrow_gaussian_resolves_without_warning(capsys):
     ["resolve", "--model", "gauss"],
     ["frobnicate"],
     [],
+    ["tables", "--alphas", ","],
+    ["check", "--riemann", "--n-grid", ","],
 ])
 def test_invalid_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -513,6 +515,35 @@ def test_model_assumption_violation_exits_4(capsys):
     code, out, err = run(capsys, ["check", "--riemann", "--psf", "airy:0.2"])
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--d", "0.1", "--method", "mc", "--reps", "100",
+     "--t", "1e300"],
+    ["check", "--clt", "--reps", "100", "--t", "1e30"],
+])
+def test_poisson_mean_above_the_sampler_bound_exits_4(capsys, argv):
+    # numpy's Poisson sampler takes no mean above about 9.2e18
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve"],
+    ["power", "--d", "0.15"],
+    ["simulate", "--method", "formula"],
+    ["tables"],
+    ["scan"],
+    ["check", "--riemann"],
+])
+def test_csv_header_is_the_json_record_keys(capsys, argv):
+    _, out, _ = run(capsys, argv + ["--format", "csv"])
+    header = parse_csv(out)[1]
+    _, out, _ = run(capsys, argv + ["--format", "json"])
+    records = json.loads(out)["records"]
+    # tables' two tables have different keys: the header is their union
+    assert header == list(dict.fromkeys(k for r in records for k in r))
 
 
 def test_argument_error_prints_one_line(capsys):

@@ -7,16 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import j1
 
 from statres.exceptions import ModelAssumptionError, ParameterError
-from statres.psf import (AIRY_TOTAL_MASS_U, GAUSSIAN_FWHM_FACTOR, PsfModel,
-                         airy_fwhm_u, curvature_integral, eval_psf,
+from statres.psf import (AIRY_FWHM_U, AIRY_TOTAL_MASS_U, GAUSSIAN_FWHM_FACTOR,
+                         PsfModel, curvature_integral, eval_psf,
                          fisher_integral, kernel_value, mass_fraction,
                          psf_first_derivative, psf_fwhm,
                          psf_second_derivative, sted_narrow, total_mass)
 
 # frozen high-precision references (30-digit arithmetic, 17 printed)
-AIRY_FWHM_U = 3.2326798966214064
+AIRY_FWHM_U_REFERENCE = 3.2326798966214064
 J1_REFERENCE = {0.5: 0.24226845767487389, 1.0: 0.44005058574493352,
                 2.0: 0.57672480775687339}
 CURVATURE_SIGMA_01 = 21157.10935593173
@@ -105,7 +106,7 @@ def test_airy_derivatives_near_the_peak():
     # h' = -s^2 u/2 + 5 s^4 u^3/48 and h'' = -s^2/2 + 5 s^4 u^2/16; the
     # series error is below 1e-12 relative for s u <= 1e-3
     psf = PsfModel.airy(0.2)
-    s = airy_fwhm_u() / 0.2
+    s = AIRY_FWHM_U / 0.2
     u = np.logspace(-14, -3, 45) / s
     assert_allclose(psf_first_derivative(psf, u),
                     -s ** 2 * u / 2 + 5 * s ** 4 * u ** 3 / 48, rtol=1e-12)
@@ -124,7 +125,11 @@ def test_gaussian_fwhm_closed_form():
 
 def test_airy_fwhm_is_the_given_width():
     assert psf_fwhm(PsfModel.airy(0.2)) == 0.2
-    assert_allclose(airy_fwhm_u(), AIRY_FWHM_U, rtol=1e-13)
+    # the oracle: twice the root of (2 J1(u)/u)^2 = 1/2
+    root = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 0.5, 1.0, 2.5,
+                  xtol=1e-14, rtol=1e-15)
+    assert_allclose(2.0 * root, AIRY_FWHM_U_REFERENCE, rtol=1e-14)
+    assert_allclose(AIRY_FWHM_U, 2.0 * root, rtol=1e-15)
 
 
 @pytest.mark.parametrize("psf", [PsfModel.gaussian(0.05),
@@ -248,7 +253,7 @@ def test_airy_information_integral_needs_background():
 
 def test_total_mass_values():
     assert total_mass(PsfModel.gaussian(0.1)) == 1.0
-    expected = AIRY_TOTAL_MASS_U * 0.2 / airy_fwhm_u()
+    expected = AIRY_TOTAL_MASS_U * 0.2 / AIRY_FWHM_U
     assert_allclose(total_mass(PsfModel.airy(0.2)), expected, rtol=1e-15)
     assert_allclose(AIRY_TOTAL_MASS_U, 32.0 / (3.0 * math.pi), rtol=1e-15)
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 import statres.binning as binning
 import statres.models as models
@@ -13,8 +14,7 @@ import statres.resolution as resolution
 from statres.exceptions import (ConvergenceWarning, GeometryError,
                                 NoResolutionError, ParameterError,
                                 UnsupportedMethodError)
-from statres.models import NoiseModel, RngState, exact_error_rates, \
-    normal_quantile
+from statres.models import NoiseModel, RngState, exact_error_rates
 from statres.binning import SourceConfig, bin_probabilities
 from statres.psf import GAUSSIAN_FWHM_FACTOR, PsfModel
 from statres.resolution import (ResolutionQuery, ResolutionResult,
@@ -380,7 +380,7 @@ def test_detection_boundary_coefficients():
     c_hg = (2.0 ** 0.875 * math.pi ** 0.125
             / (3.0 ** 0.25 * log2 ** 0.625))
     for alpha in (0.01, 0.05, 0.1):
-        z = float(normal_quantile(1.0 - alpha))
+        z = float(ndtri(1.0 - alpha))
         got_p = detection_boundary(NoiseModel("poisson"), 1.0, 1.0, 1,
                                    alpha, alpha)
         assert_allclose(got_p, c_p * math.sqrt(z), rtol=1e-13)
