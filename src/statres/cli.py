@@ -145,7 +145,7 @@ class Opt:
 
 
 COMMON_OUTPUT = [
-    Opt("format", str, "csv", "output format", ("csv", "json", "table")),
+    Opt("format", str, "csv", "output format", ("csv", "json")),
     Opt("output", str, None, "write to this file instead of stdout"),
     Opt("config", str, None, "key = value config file (flags win)"),
 ]
@@ -287,7 +287,7 @@ def emit(opts: dict, meta: dict, records: list[dict],
     with target as stream:
         if opts["format"] == "json":
             write_json(stream, meta, records)
-        elif opts["format"] == "table" and table_text is not None:
+        elif opts["format"] == "table":
             stream.write(table_text)
         else:
             write_csv(stream, meta, records)

@@ -21,6 +21,11 @@ with m the model's separation measure (``hg_mu`` or ``vsg_nu``), so level
 and power have closed forms. The Poisson statistic sum(Y_i log(p1_i/p0_i))
 is treated by a central-limit report or by Monte Carlo.
 
+T = sum_i a_i (Y_i - c_i) is written once per model (``_statistic_terms``),
+and its moments and m = a.a / 2 come from the same a. Every sum over bins
+is a row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do
+not depend on the BLAS thread count.
+
 A Monte Carlo draw (``draw_statistic``) reduces each chunk of at most
 SAMPLE_CHUNK_VALUES variates to T before it draws the next, so it holds
 one chunk of records plus reps values of T, whatever reps is.
@@ -110,11 +115,6 @@ def _resolve_generator(rng) -> np.random.Generator:
     raise ParameterError("rng must be an RngState or numpy Generator")
 
 
-def _chunk_rows(n: int) -> int:
-    """Rows of n values in one chunk of about SAMPLE_CHUNK_VALUES."""
-    return max(1, SAMPLE_CHUNK_VALUES // max(1, n))
-
-
 def sample_observations(model: NoiseModel, p, t: float, rng,
                         reps: int | None = None,
                         reduce: Callable | None = None) -> np.ndarray:
@@ -148,7 +148,7 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
         raise ModelAssumptionError("bin intensities must be >= 0")
     shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
     rows = 1 if reps is None else reps
-    step = _chunk_rows(lam.size)
+    step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
     if reduce is None:
         out = buffer = np.empty((rows, lam.size))
     else:
@@ -179,73 +179,74 @@ def _poisson_bins(probs: BinProbabilities) -> BinProbabilities:
     return BinProbabilities(n=p0.size, p0=p0, p1=p1)
 
 
+def _bin_sum(y, a) -> np.ndarray:
+    """sum_i y[..., i] a_i, row by row in numpy's einsum loop, not BLAS: a
+    row's bits do not depend on the rows beside it or on the thread count.
+    They do depend on the bin count and on the memory layout, so y is
+    summed C-contiguous."""
+    return np.einsum("...i,i->...", np.ascontiguousarray(y), a)
+
+
 def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
-    """Constant and per-bin coefficient of the LRT statistic T = c + Y @ a
-    (0 in a Poisson bin without mass under both hypotheses)."""
+    """Per-bin coefficients a and centre c of the LRT statistic
+    T = sum_i a_i (Y_i - c_i). For hg and vsg, a is the difference of the
+    two hypotheses' record means and c their midpoint. For poisson, c = 0
+    and a covers only the bins that ``_poisson_bins`` keeps."""
     tau = model.thinning * t
     p0, p1 = probs.p0, probs.p1
     if model.kind == "hg":
-        coeff = tau * (p1 - p0)
-        const = 0.5 * tau ** 2 * (p0 @ p0 - p1 @ p1)
-        return const, coeff
+        return tau * (p1 - p0), 0.5 * tau * (p0 + p1)
     if model.kind == "vsg":
-        if np.any(p0 < 0.0) or np.any(p1 < 0.0):
+        if (np.minimum(p0, p1) < 0.0).any():
             raise ModelAssumptionError("vsg model requires p >= 0")
-        coeff = 2.0 * math.sqrt(tau) * (np.sqrt(p1) - np.sqrt(p0))
-        const = 2.0 * tau * (np.sum(p0) - np.sum(p1))
-        return const, coeff
+        root0, root1 = np.sqrt(p0), np.sqrt(p1)
+        return (2.0 * math.sqrt(tau) * (root1 - root0),
+                math.sqrt(tau) * (root0 + root1))
     kept = _poisson_bins(probs)
-    coeff = np.zeros(p0.shape)
-    coeff[(p0 != 0.0) | (p1 != 0.0)] = np.log(kept.p1 / kept.p0)
-    return 0.0, coeff
+    return np.log(kept.p1 / kept.p0), np.zeros(kept.n)
 
 
 def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
     """Log-likelihood-ratio statistic of p1 against p0 for observations y.
 
     Accepts a single observation vector of length n (returns a float) or a
-    matrix with one observation per row (returns a vector). A matrix is
-    reduced in the row chunks of a draw (``_chunk_rows``): BLAS may round
-    a row's sum differently with the number of rows in one product, and
-    this way T of a kept record matrix equals, bit for bit, the T that
-    ``draw_statistic`` reduces chunk by chunk from the same draw.
+    matrix with one observation per row (returns a vector). Each row is
+    summed on its own (``_bin_sum``), so T of a record is the same bits
+    whether it is reduced alone, in a draw's chunk or in a whole record
+    matrix of either memory order. A Poisson bin without mass under both
+    hypotheses is dropped from y before the sum.
     """
     _check_t(t)
-    const, coeff = _statistic_terms(model, probs, t)
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return float(const + y @ coeff)
-    step = _chunk_rows(coeff.size)
-    stat = np.empty(y.shape[0])
-    for first in range(0, y.shape[0], step):
-        stat[first:first + step] = const + y[first:first + step] @ coeff
-    return stat
+    if model.kind == "poisson":
+        mass = (probs.p0 != 0.0) | (probs.p1 != 0.0)
+        y = y if mass.all() else y[..., mass]
+    coeff, centre = _statistic_terms(model, probs, t)
+    stat = _bin_sum(y, coeff) - _bin_sum(centre, coeff)
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def hg_mu(probs: BinProbabilities, t: float, eta: float = 1.0) -> float:
     """Separation measure of the homogeneous Gaussian test."""
-    tau = eta * t
-    diff = probs.p1 - probs.p0
-    return 0.5 * tau ** 2 * float(diff @ diff)
+    return separation_measure(NoiseModel("hg", thinning=eta), probs, t)
 
 
 def vsg_nu(probs: BinProbabilities, t: float, eta: float = 1.0) -> float:
     """Separation measure of the variance-stabilized Gaussian test."""
-    tau = eta * t
-    diff = np.sqrt(probs.p1) - np.sqrt(probs.p0)
-    return 2.0 * tau * float(diff @ diff)
+    return separation_measure(NoiseModel("vsg", thinning=eta), probs, t)
 
 
 def separation_measure(model: NoiseModel, probs: BinProbabilities,
                        t: float) -> float:
-    """The model's m with thinning applied; Poisson has no closed form."""
-    if model.kind == "hg":
-        return hg_mu(probs, t, eta=model.thinning)
-    if model.kind == "vsg":
-        return vsg_nu(probs, t, eta=model.thinning)
-    raise UnsupportedMethodError(
-        "no closed-form separation measure for the poisson model; "
-        "use poisson_clt_report or mc_error_rates")
+    """The model's m = a.a / 2 with a the coefficients of its statistic T:
+    mu = tau^2 |p1 - p0|^2 / 2 for hg, nu = 2 tau |sqrt(p1) - sqrt(p0)|^2
+    for vsg, tau = eta t. Poisson has no closed form."""
+    if model.kind == "poisson":
+        raise UnsupportedMethodError(
+            "no closed-form separation measure for the poisson model; "
+            "use poisson_clt_report or mc_error_rates")
+    a, _ = _statistic_terms(model, probs, t)
+    return 0.5 * float(_bin_sum(a, a))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -262,12 +263,10 @@ def statistic_moments(model: NoiseModel, probs: BinProbabilities,
     if model.kind != "poisson":
         m = separation_measure(model, probs, t)
         return -m, 2.0 * m, m, 2.0 * m
-    probs = _poisson_bins(probs)
-    _, a = _statistic_terms(model, probs, t)
-    lam0 = model.thinning * t * probs.p0
-    lam1 = model.thinning * t * probs.p1
-    return (float(a @ lam0), float((a * a) @ lam0),
-            float(a @ lam1), float((a * a) @ lam1))
+    a, _ = _statistic_terms(model, probs, t)
+    kept = _poisson_bins(probs)
+    return tuple(float(_bin_sum(w, model.thinning * t * p))
+                 for p in (kept.p0, kept.p1) for w in (a, a * a))
 
 
 def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
@@ -316,23 +315,25 @@ KS_BOUND = 0.03
 
 
 def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
-                   side: int, reps: int,
-                   generator: np.random.Generator) -> np.ndarray:
+                   side: int, reps: int, rng: RngState,
+                   key: tuple = ()) -> np.ndarray:
     """T for reps records drawn under the null (side 0) or the alternative
-    (side 1).
+    (side 1) from the substream ``rng.generator(*key, side)``.
 
     One ``sample_observations`` call draws the records chunk by chunk and
     reduces each chunk to T with ``lrt_statistic`` before the next is
     drawn, so the draw holds one chunk of at most SAMPLE_CHUNK_VALUES
-    variates plus the reps values of T, whatever reps is. The values equal
-    ``lrt_statistic`` of the full reps-by-n draw bit for bit.
+    variates plus the reps values of T, whatever reps is. Since
+    ``lrt_statistic`` sums each row on its own, the values equal T of the
+    full reps-by-n draw bit for bit, at any BLAS thread count.
     """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
     if model.kind == "poisson":
         probs = _poisson_bins(probs)
     return sample_observations(
-        model, probs.p1 if side else probs.p0, t, generator, reps=reps,
+        model, probs.p1 if side else probs.p0, t,
+        rng.generator(*key, side), reps=reps,
         reduce=lambda block: lrt_statistic(model, probs, t, block))
 
 
@@ -363,11 +364,11 @@ def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
     the RngState.
     """
     rng = rng or RngState()
-    t0 = draw_statistic(model, probs, t, 0, reps, rng.generator(0))
+    t0 = draw_statistic(model, probs, t, 0, reps, rng)
     threshold = mc_threshold(model, probs, t, alpha, threshold_mode,
                              lambda: t0)
     level = float(np.mean(t0 > threshold))
-    t1 = draw_statistic(model, probs, t, 1, reps, rng.generator(1))
+    t1 = draw_statistic(model, probs, t, 1, reps, rng)
     power = float(np.mean(t1 > threshold))
     mc_se = math.sqrt(power * (1.0 - power) / reps)
     return TestReport(threshold=threshold, level=level, power=power,
@@ -393,8 +394,7 @@ def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
     e0, v0, e1, v1 = statistic_moments(model, probs, t)
     records = []
     for side, mean, var in ((0, e0, v0), (1, e1, v1)):
-        stats = draw_statistic(model, probs, t, side, reps,
-                               rng.generator(side))
+        stats = draw_statistic(model, probs, t, side, reps, rng)
         ks = ks_normal_distance((stats - mean) / math.sqrt(var))
         records.append({"check": f"{model.kind}-normality",
                         "side": ("null", "alternative")[side],

@@ -150,7 +150,7 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
     tau = query.model.thinning * query.t
     if query.model.kind == "hg":
         curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
-        bin_sum = float(curvature_bins @ curvature_bins)
+        bin_sum = float(np.einsum("i,i->", curvature_bins, curvature_bins))
     else:
         bin_sum = bin_information_sum(query.psf, query.x0, query.n)
     # a kernel too narrow for the bins leaves no information: d is infinite
@@ -301,10 +301,9 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             probs = gap.profiles(d)
         threshold = mc_threshold(
             model, probs, t, query.alpha, threshold_mode,
-            lambda: draw_statistic(model, probs, t, 0, reps,
-                                   rng.generator(phase, iteration, 0)))
-        t1 = draw_statistic(model, probs, t, 1, reps,
-                            rng.generator(phase, iteration, 1))
+            lambda: draw_statistic(model, probs, t, 0, reps, rng,
+                                   (phase, iteration)))
+        t1 = draw_statistic(model, probs, t, 1, reps, rng, (phase, iteration))
         beta_hat = float(np.mean(t1 <= threshold))
         trajectory.append((d, beta_hat))
         return beta_hat

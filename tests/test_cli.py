@@ -504,6 +504,7 @@ def test_exact_narrow_gaussian_resolves_without_warning(capsys):
     [],
     ["tables", "--alphas", ","],
     ["check", "--riemann", "--n-grid", ","],
+    ["resolve", "--format", "table"],
 ])
 def test_invalid_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, argv)

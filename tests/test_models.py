@@ -118,12 +118,6 @@ def test_chunked_draw_equals_one_shot_draw(kind, monkeypatch):
     assert np.array_equal(single, want[0])
 
 
-def _full_draw_statistic(model, probs, t, side, reps, generator):
-    records = sample_observations(model, probs.p1 if side else probs.p0, t,
-                                  generator, reps=reps)
-    return lrt_statistic(model, probs, t, records)
-
-
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("chunk, n, reps", [
     (64, 20, 101),              # 3 rows a chunk, a last chunk of 2 rows
@@ -131,24 +125,27 @@ def _full_draw_statistic(model, probs, t, side, reps, generator):
 ])
 def test_chunked_draw_statistic_equals_full_draw(kind, chunk, n, reps,
                                                  monkeypatch):
-    # T reduced chunk by chunk is T of the whole record matrix, bit for bit
+    # T reduced chunk by chunk is T of the whole record matrix, bit for
+    # bit, in either memory order
     monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", chunk)
     probs = make_probs(n=n, gamma=0.5)
     model = NoiseModel(kind, thinning=0.9)
     for side in (0, 1):
-        got = draw_statistic(model, probs, 30.0, side, reps,
-                             RngState(seed=6).generator(side))
-        want = _full_draw_statistic(model, probs, 30.0, side, reps,
-                                    RngState(seed=6).generator(side))
+        got = draw_statistic(model, probs, 30.0, side, reps, RngState(seed=6))
+        records = sample_observations(model, probs.p1 if side else probs.p0,
+                                      30.0, RngState(seed=6).generator(side),
+                                      reps=reps)
         assert got.shape == (reps,)
-        assert np.array_equal(got, want)
+        for order in ("C", "F"):
+            want = lrt_statistic(model, probs, 30.0,
+                                 np.asarray(records, order=order))
+            assert np.array_equal(got, want)
 
 
 def _draw_peak_bytes(model, probs, reps):
-    generator = RngState(seed=2).generator()
     tracemalloc.start()
     try:
-        draw_statistic(model, probs, 30.0, 1, reps, generator)
+        draw_statistic(model, probs, 30.0, 1, reps, RngState(seed=2))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -167,14 +164,16 @@ def test_chunked_draw_memory_does_not_grow_with_reps(kind, monkeypatch):
 
 
 def test_chunked_draw_statistic_samples_once(monkeypatch):
-    # one sample_observations call per draw, however many chunks it spans
+    # one sample_observations call per draw, however many chunks it spans:
+    # bench/worker.py cross-checks this count against the 1 + expansions
+    # + iterations probes of every traced Monte Carlo solve
     monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
     calls = []
     original = models.sample_observations
     monkeypatch.setattr(models, "sample_observations",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     stats = draw_statistic(NoiseModel("poisson"), make_probs(gamma=0.5),
-                           30.0, 0, 500, RngState(seed=1).generator())
+                           30.0, 0, 500, RngState(seed=1))
     assert stats.shape == (500,)
     assert len(calls) == 1
 
@@ -304,7 +303,7 @@ def test_statistic_moments_match_simulation(kind):
     for side in (0, 1):
         mean, var = moments[2 * side], moments[2 * side + 1]
         stats = draw_statistic(model, probs, t, side, reps,
-                               RngState(seed=11).generator(side))
+                               RngState(seed=11))
         centered = stats - stats.mean()
         var_se = math.sqrt(np.mean(centered ** 4) - var ** 2) / math.sqrt(reps)
         assert abs(stats.mean() - mean) < 4.0 * math.sqrt(var / reps)
