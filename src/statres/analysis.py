@@ -194,6 +194,8 @@ class SweepSpec:
             raise ParameterError("sweep grid must be strictly increasing")
         if values[0] <= 0.0:
             raise ParameterError("sweep grid values must be > 0")
+        if self.swept == "n" and not all(v.is_integer() for v in values):
+            raise ParameterError("an n sweep takes integer grid values")
         if self.method not in ("mc", "formula"):
             raise ParameterError(f"unknown sweep method {self.method!r}")
         if not self.models or len(set(self.models)) < len(self.models):

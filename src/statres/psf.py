@@ -199,9 +199,17 @@ def fisher_integral(psf: PsfModel, x0: float = 0.5) -> float:
         raise ModelAssumptionError(
             "the information integral diverges where the airy kernel "
             "vanishes; a positive background makes it finite")
-    return _quad_unit(
-        lambda x: psf_second_derivative(psf, x - x0) ** 2 / eval_psf(psf, x - x0),
-        x0, _width(psf))
+
+    def integrand(x):
+        num = psf_second_derivative(psf, x - x0) ** 2
+        # far from its peak a background-free gaussian and its h'' both
+        # underflow to 0, where the integrand is 0, not 0/0 (quad passes
+        # one point at a time, so the check is a scalar one)
+        if psf.background == 0.0 and num == 0.0:
+            return num
+        return num / eval_psf(psf, x - x0)
+
+    return _quad_unit(integrand, x0, _width(psf))
 
 
 def _width(psf: PsfModel) -> float:

@@ -12,7 +12,7 @@ caller puts break points around it. The one caller is the Airy kernel in
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -21,11 +21,10 @@ DEFAULT_TOL = 1e-12
 MAX_DEPTH = 12
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre_rule(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    """Return (nodes, weights) of the Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@cache
+def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the GL_ORDER-point Gauss-Legendre rule."""
+    return np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 def _panel_estimates(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -21,16 +21,18 @@ order t^(-1/2) n^(1/4), paying for its signal-independent noise floor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .binning import (BinProbabilities, bin_curvature_integrals,
-                      bin_information_sum, pair_profiles)
+from .binning import (bin_curvature_integrals, bin_information_sum,
+                      pair_profiles)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -165,45 +167,30 @@ def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
                (1.0 - margin - x0) / weight_q)
 
 
-class _PowerGap:
+def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
     """Closed-form power at separation d minus the target 1 - beta, for one
     query: exact for hg/vsg, CLT for poisson.
 
-    The null bins are integrated once per query, and ``known`` keeps the
-    gap of every separation evaluated. ``crossing`` keeps the smallest
-    point of the root grid evaluated whose gap is >= 0, with its bin
-    probabilities: once ``_power_root`` ends, the root it reports.
+    ``profiles`` is the query's ``pair_profiles``, which integrated the
+    null bins once. The gap of every separation evaluated is cached.
     """
+    # importing scipy.optimize resets the registry that shows each warning
+    # once, so it is imported before the solve's first warning can be shown
+    import scipy.optimize  # noqa: F401
 
-    def __init__(self, query: ResolutionQuery):
-        self.query = query
-        self.profiles = pair_profiles(query.psf, query.x0, query.weight_q,
-                                      query.n)
-        self.known: dict[float, float] = {}
-        self.crossing: tuple[float, BinProbabilities] | None = None
-
-    def __call__(self, d: float) -> float:
-        if d not in self.known:
-            self.known[d] = self._evaluate(d)
-        return self.known[d]
-
-    def _evaluate(self, d: float) -> float:
-        query = self.query
+    @functools.cache
+    def gap(d: float) -> float:
         if d == 0.0:
             # the pair coincides with the single source: power is the level
             return query.alpha - (1.0 - query.beta)
-        probs = self.profiles(d)
-        gap = (analytic_report(query.model, probs, query.t,
-                               query.alpha).power - (1.0 - query.beta))
-        if (gap >= 0.0 and (d / ROOT_GRID).is_integer()
-                and (self.crossing is None or d < self.crossing[0])):
-            self.crossing = (d, probs)
-        return gap
+        return (analytic_report(query.model, profiles(d), query.t,
+                                query.alpha).power - (1.0 - query.beta))
+
+    return gap
 
 
-def _power_root(gap: _PowerGap, lo: float,
-                hi: float) -> tuple[float, float, int]:
-    """Root of the power gap in the bracket [lo, hi] by Brent's method.
+def _power_root(gap, lo: float, hi: float) -> tuple[float, float, int]:
+    """Root of the ``_power_gap`` in the bracket [lo, hi] by Brent's method.
 
     The root reported is the first point of the grid k * ROOT_GRID whose
     gap is >= 0. Brent's method finds it within a step or two; the last
@@ -222,7 +209,7 @@ def _power_root(gap: _PowerGap, lo: float,
     while gap((k + 1) * ROOT_GRID) < 0.0:
         k += 1
     root = (k + 1) * ROOT_GRID
-    return root, gap(root), len(gap.known)
+    return root, gap(root), gap.cache_info().currsize
 
 
 def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
@@ -239,7 +226,8 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
             "exact resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
     hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
-    gap = _PowerGap(query)
+    profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
+    gap = _power_gap(query, profiles)
     if gap(hi) < 0.0:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
@@ -249,7 +237,7 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
     return _checked_result(d, "exact", diag)
 
 
-def _analytic_start(gap: _PowerGap, fwhm: float, cap: float) -> float:
+def _analytic_start(gap, fwhm: float, cap: float) -> float:
     """Separation where the closed-form power reaches 1 - beta, or the cap.
 
     The bracket grows from min(FWHM, cap) by the Monte Carlo expansion
@@ -285,7 +273,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     steps, phase 1 the bisection. The result is deterministic given the
     RngState and independent of threading. Diagnostics record the start
     d_a and the trajectory of (d, beta_hat) per probe, whose length is
-    1 + expansions + iterations.
+    1 + expansions + iterations. The null bins are integrated once, for
+    the analytic start and every draw alike.
     """
     rng = rng or RngState()
     band_lo = 0.95 * query.beta
@@ -294,11 +283,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     model, t = query.model, query.t
 
     def type2(d: float, phase: int, iteration: int) -> float:
-        # the first draw is at d_a, which the analytic start has integrated
-        if gap.crossing is not None and gap.crossing[0] == d:
-            probs = gap.crossing[1]
-        else:
-            probs = gap.profiles(d)
+        probs = profiles(d)
         threshold = mc_threshold(
             model, probs, t, query.alpha, threshold_mode,
             lambda: draw_statistic(model, probs, t, 0, reps, rng,
@@ -315,8 +300,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         raise GeometryError(
             "x0 leaves no room for two sources inside (0.05, 0.95)")
 
-    gap = _PowerGap(query)
-    start = _analytic_start(gap, fwhm, cap)
+    profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
+    start = _analytic_start(_power_gap(query, profiles), fwhm, cap)
     d = start
     beta_hat = type2(d, 0, 0)
     # walk outward until a probe lands in the band or the band is

@@ -197,10 +197,12 @@ def test_sweep_spec_validation():
 
 @pytest.mark.parametrize("fields", [{"threads": 0}, {"threads": -1},
                                     {"models": ()},
-                                    {"models": ("poisson", "poisson")}])
+                                    {"models": ("poisson", "poisson")},
+                                    {"swept": "n", "grid": (1.5, 2.5, 3.5)}])
 def test_sweep_spec_rejects_bad_threads_and_models(fields):
     with pytest.raises(ParameterError):
-        SweepSpec(swept="t", grid=(1, 2, 3), method="formula", **fields)
+        SweepSpec(**{"swept": "t", "grid": (1, 2, 3), "method": "formula",
+                     **fields})
 
 
 def test_formula_sweep_recovers_the_exact_exponents():

@@ -391,9 +391,16 @@ def test_check_riemann_rejects_bad_bin_counts(capsys, entry):
     ["power", "--psf", "gaussian:0.01", "--d", "0.02", "--method", "mc",
      "--reps", "1000"],
     ["check", "--clt", "--psf", "gaussian:0.01"],
+    ["resolve", "--psf", "gaussian:0.01", "--x0", "0.3"],
+    ["resolve", "--psf", "gaussian:0.01", "--x0", "0.3", "--model", "vsg"],
+    ["resolve", "--psf", "gaussian:0.005", "--x0", "0.3"],
+    ["resolve", "--psf", "gaussian:0.002", "--x0", "0.3"],
+    ["scan", "--kind", "weight", "--psf", "gaussian:0.01", "--x0", "0.3"],
+    ["check", "--riemann", "--psf", "gaussian:0.002", "--x0", "0.3"],
 ])
 def test_narrow_kernel_bins_without_mass_drop_out(capsys, argv):
-    # the far bins of a narrow kernel underflow to p0 = p1 = 0
+    # the far bins of a narrow kernel underflow to p0 = p1 = 0, and off
+    # the centre the information integrand h''^2 / h reads 0/0 there
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, argv)
@@ -505,6 +512,8 @@ def test_exact_narrow_gaussian_resolves_without_warning(capsys):
     ["tables", "--alphas", ","],
     ["check", "--riemann", "--n-grid", ","],
     ["resolve", "--format", "table"],
+    ["simulate", "--method", "formula", "--sweep", "n",
+     "--grid", "1.5,2.5,3.5"],
 ])
 def test_invalid_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, argv)

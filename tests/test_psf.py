@@ -1,6 +1,7 @@
 """Kernel evaluation, derivatives, widths and closed-form integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ def test_quadrature_path_matches_closed_form():
                         curvature_integral(psf), rtol=1e-8)
         assert_allclose(fisher_integral(psf, x0=0.5 + 1e-12),
                         fisher_integral(psf), rtol=1e-8)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.005, 0.002, 0.001, 0.0005])
+def test_off_center_narrow_gaussian_fisher_integral(sigma):
+    # far from x0 = 0.3 the kernel and its h'' underflow to 0; the
+    # integrand reads 0 there, not 0/0, and the window holds the whole peak
+    psf = PsfModel.gaussian(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        off_center = fisher_integral(psf, x0=0.3)
+    assert_allclose(off_center, fisher_integral(psf), rtol=1e-12)
 
 
 def test_fisher_integral_decreases_with_background():

@@ -1,7 +1,11 @@
 """Critical-separation solvers and their scaling laws."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from statres.resolution import (ResolutionQuery, ResolutionResult,
                                 finite_n_resolution, mc_resolution,
                                 resolve_query)
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 SIGMA_02 = 0.2 / GAUSSIAN_FWHM_FACTOR
 
 # value pinned by an independent run of the closed-form rate
@@ -225,13 +230,32 @@ def test_exact_resolution_integrates_the_null_once(monkeypatch):
     assert len(centers) == 1 + 2 * (result.diagnostics["iterations"] - 1)
 
 
-def test_mc_first_draw_reuses_the_analytic_start_bins(monkeypatch):
+def test_mc_resolution_integrates_the_null_once(monkeypatch):
     centers = record_kernel_centers(monkeypatch)
     query = make_query("vsg", t=20.0, n=20)
     result = mc_resolution(query, reps=2000, rng=RngState(seed=0))
     start = SourceConfig(x0=query.x0, d=result.diagnostics["start"])
     assert centers.count(query.x0) == 1
-    assert centers.count(start.x2) == 1
+    # the start's alternative is integrated by the gap at the root and
+    # again by the first draw
+    assert centers.count(start.x2) == 2
+
+
+def test_library_solve_shows_a_warning_once():
+    # in a fresh interpreter the solve imports scipy.optimize itself, and
+    # that import resets the registry that shows a warning once
+    script = (
+        "from statres.models import NoiseModel\n"
+        "from statres.psf import PsfModel\n"
+        "from statres.resolution import ResolutionQuery, exact_resolution\n"
+        "exact_resolution(ResolutionQuery(model=NoiseModel('hg'), "
+        "psf=PsfModel.gaussian(0.3), t=100.0))\n")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert sum("MassTruncationWarning" in line for line in lines) == 1
 
 
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
