@@ -10,13 +10,13 @@ so that for offset_lambda = 0 the intensity-weighted center of the pair
 stays at x0. Bin probabilities are integrals of the kernel plus background
 over each bin; the constant pedestal contributes exactly background / n per
 bin and is added analytically. A Gaussian bin integral is a difference of
-normal CDFs; an Airy one goes through Gauss-Legendre quadrature, with break
-points around the peak when the kernel is narrower than a bin.
+normal CDFs; an Airy one goes through the Gauss-Legendre quadrature of
+``statres.quadrature``, which works in u = x - center and puts break points
+around the peak when the kernel is narrower than a bin.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -101,15 +101,8 @@ def _kernel_bins(psf: PsfModel, center: float, edges: np.ndarray) -> np.ndarray:
         lower, upper = ndtr(z), ndtr(-z)
         return np.where(z[:-1] >= 0.0, upper[:-1] - upper[1:],
                         lower[1:] - lower[:-1])
-    # a peak narrower than a bin gets break points center +- width 4^k,
-    # so that no panel holds it whole and reads it as zero
-    width = _width(psf)
-    steps = width * 4.0 ** np.arange(
-        math.ceil(math.log((edges[1] - edges[0]) / width, 4)))
-    breaks = center + np.concatenate([-steps, steps])
-    refined = np.union1d(edges, breaks[(breaks > 0.0) & (breaks < 1.0)])
-    parts = integrate_bins(lambda x: kernel_value(psf, x - center), refined)
-    return np.add.reduceat(parts, np.searchsorted(refined, edges[:-1]))
+    return integrate_bins(lambda u: kernel_value(psf, u), edges, center,
+                          _width(psf))
 
 
 def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilities:
@@ -121,7 +114,7 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
     SourceConfig construction).
     """
     edges = bin_edges(n)
-    return _profiles(psf, src, n, edges, _kernel_bins(psf, src.x0, edges))
+    return _profiles(psf, src, n, edges, _kernel_bins(psf, src.x0, edges), 3)
 
 
 def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
@@ -130,23 +123,24 @@ def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
 
     The null bins do not depend on d, so a search over d integrates them
     once here; each call integrates the two alternative sources only. A
-    call warns as ``bin_probabilities`` does, the null mass included.
+    call warns as ``bin_probabilities`` does, the null mass included, but
+    at its own line, so a solve that calls it from two places warns once.
     """
     edges = bin_edges(n)
     null_bins = _kernel_bins(psf, x0, edges)
 
     def probabilities(d: float) -> BinProbabilities:
         src = SourceConfig(x0=x0, d=d, weight_q=weight_q)
-        return _profiles(psf, src, n, edges, null_bins)
+        return _profiles(psf, src, n, edges, null_bins, 2)
 
     return probabilities
 
 
 def _profiles(psf: PsfModel, src: SourceConfig, n: int, edges: np.ndarray,
-              null_bins: np.ndarray) -> BinProbabilities:
+              null_bins: np.ndarray, stacklevel: int) -> BinProbabilities:
     """p0 and p1 given the null source's kernel bins.
 
-    The warning's stacklevel skips this function and its public caller.
+    The warning is attributed ``stacklevel`` frames up, counting this one.
     """
     pedestal = psf.background / n
     kernel_bins = [null_bins]
@@ -167,7 +161,7 @@ def _profiles(psf: PsfModel, src: SourceConfig, n: int, edges: np.ndarray,
         warnings.warn(
             "a source keeps less than 99 percent of its kernel mass "
             "inside [0, 1]; bin probabilities are truncated",
-            MassTruncationWarning, stacklevel=3)
+            MassTruncationWarning, stacklevel=stacklevel)
 
     return BinProbabilities(n=n, p0=p0, p1=p1)
 

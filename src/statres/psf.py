@@ -13,8 +13,9 @@ only the Fisher-type integral feels it.
 Both kernels have closed-form first and second derivatives. The
 squared-curvature integral of h'' and the Fisher-type integral of
 h''^2 / (h + background) are the only kernel functionals the resolution
-formulas need; a centered Gaussian has both in closed form, and every
-other case goes through one adaptive quadrature.
+formulas need; a centered Gaussian has both in closed form. Every other
+case, and the Airy mass fraction, goes through the Gauss-Legendre
+quadrature of ``statres.quadrature`` in the kernel's coordinate u.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.special import erf, j1, jv, ndtr
 
 from .exceptions import ModelAssumptionError, ParameterError
+from .quadrature import integrate_bins
 
 # FWHM of a unit-variance Gaussian
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -37,6 +39,10 @@ AIRY_TOTAL_MASS_U = 32.0 / (3.0 * math.pi)
 # FWHM of the dimensionless Airy profile (2 J1(u)/u)^2: twice the root of
 # J1(u) = u / (2 sqrt(2)), its half-maximum point
 AIRY_FWHM_U = 3.2326798966214074
+
+# widths a kernel may take: far outside them the kernel, its derivatives
+# and their integrals overflow or underflow
+MIN_WIDTH, MAX_WIDTH = 1e-30, 1e30
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,10 @@ class PsfModel:
         else:
             if self.fwhm is None or not 0.0 < self.fwhm < math.inf:
                 raise ParameterError("airy psf requires finite fwhm > 0")
+        width = self.sigma if self.kind == "gaussian" else self.fwhm
+        if not MIN_WIDTH <= width <= MAX_WIDTH:
+            raise ParameterError(f"psf width {width:g} lies outside "
+                                 f"[{MIN_WIDTH:g}, {MAX_WIDTH:g}]")
         if not 0.0 <= self.background < math.inf:
             raise ParameterError("background must be finite and >= 0")
 
@@ -177,8 +187,8 @@ def curvature_integral(psf: PsfModel, x0: float = 0.5) -> float:
         num = (6.0 * math.sqrt(math.pi) * sigma ** 3 * float(erf(0.5 / sigma))
                + math.exp(-0.25 / sigma ** 2) * (2.0 * sigma ** 2 - 1.0))
         return num / (16.0 * math.pi * sigma ** 8)
-    return _quad_unit(lambda x: psf_second_derivative(psf, x - x0) ** 2,
-                      x0, _width(psf))
+    return _window_integral(
+        psf, lambda u: psf_second_derivative(psf, u) ** 2, x0)
 
 
 def fisher_integral(psf: PsfModel, x0: float = 0.5) -> float:
@@ -200,16 +210,14 @@ def fisher_integral(psf: PsfModel, x0: float = 0.5) -> float:
             "the information integral diverges where the airy kernel "
             "vanishes; a positive background makes it finite")
 
-    def integrand(x):
-        num = psf_second_derivative(psf, x - x0) ** 2
+    def integrand(u):
         # far from its peak a background-free gaussian and its h'' both
-        # underflow to 0, where the integrand is 0, not 0/0 (quad passes
-        # one point at a time, so the check is a scalar one)
-        if psf.background == 0.0 and num == 0.0:
-            return num
-        return num / eval_psf(psf, x - x0)
+        # underflow to 0, where the integrand is 0, not 0/0
+        num = psf_second_derivative(psf, u) ** 2
+        return np.divide(num, eval_psf(psf, u), out=np.zeros_like(num),
+                         where=num > 0.0)
 
-    return _quad_unit(integrand, x0, _width(psf))
+    return _window_integral(psf, integrand, x0)
 
 
 def _width(psf: PsfModel) -> float:
@@ -219,17 +227,9 @@ def _width(psf: PsfModel) -> float:
     return psf.fwhm / AIRY_FWHM_U
 
 
-def _quad_unit(func, center: float, width: float) -> float:
-    """Adaptive quadrature over [0, 1] with break points around a peak."""
-    from scipy.integrate import quad
-
-    pts = sorted({min(max(center + k * width, 0.0), 1.0)
-                  for k in (-5.0, -2.0, 0.0, 2.0, 5.0)})
-    pts = [p for p in pts if 0.0 < p < 1.0]
-    scalar = lambda x: float(func(np.asarray(x, dtype=float)))
-    value, _ = quad(scalar, 0.0, 1.0, points=pts or None, limit=200,
-                    epsabs=0.0, epsrel=1e-11)
-    return value
+def _window_integral(psf: PsfModel, func, center: float) -> float:
+    """Integral over [0, 1] of func(x - center), func a kernel functional."""
+    return float(integrate_bins(func, (0.0, 1.0), center, _width(psf))[0])
 
 
 def total_mass(psf: PsfModel) -> float:
@@ -244,6 +244,5 @@ def mass_fraction(psf: PsfModel, center: float) -> float:
     if psf.kind == "gaussian":
         s = psf.sigma
         return float(ndtr((1.0 - center) / s) - ndtr(-center / s))
-    inside = _quad_unit(lambda x: kernel_value(psf, x - center),
-                        center, _width(psf))
+    inside = _window_integral(psf, lambda u: kernel_value(psf, u), center)
     return inside / total_mass(psf)

@@ -1,17 +1,20 @@
-"""Fixed-order Gauss-Legendre quadrature over bins of the unit interval.
+"""Fixed-order Gauss-Legendre quadrature, the package's one quadrature.
 
-Bin integrals feed likelihood computations, so they must be deterministic:
-nodes and weights are computed once, summation order inside a bin is fixed,
-and sums across bins use numpy's pairwise summation. Each bin is refined by
-recursive bisection until the two-half estimate agrees with the whole-bin
-estimate to an absolute tolerance. A peak much narrower than a bin can fall
-between the nodes of both estimates, which then agree on zero, so the
-caller puts break points around it. The one caller is the Airy kernel in
-``binning``; Gaussian bins have a closed form.
+It integrates the Airy bin masses, the curvature and information integrals
+and the Airy mass fraction. Results feed likelihood computations, so they
+must be deterministic: nodes and weights are computed once, summation
+order inside a panel is fixed, and sums across bins use numpy's pairwise
+summation. Each panel is refined by recursive bisection until its
+two-half estimate agrees with its whole-panel estimate. A peak much
+narrower than a bin could fall between the nodes of both estimates, which
+would then agree on zero, so break points split the bins around it. The
+panels lie in the kernel's own coordinate u = x - center, where those next
+to the peak stay much wider than the spacing of doubles.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -38,40 +41,40 @@ def _panel_estimates(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * (values @ weights)
 
 
-def integrate_bins(func, edges: np.ndarray) -> np.ndarray:
-    """Integrate a vectorized callable over consecutive bins.
+def integrate_bins(func, edges, center: float, width: float) -> np.ndarray:
+    """Integrate func(x - center) over consecutive bins of x.
 
-    Parameters
-    ----------
-    func : callable
-        Vectorized function of one array argument.
-    edges : ndarray
-        Increasing array of bin edges, length n+1 for n bins.
-
-    Returns
-    -------
-    ndarray of the n bin integrals, each refined until its one-panel
-    estimate and the sum of its two half-panel estimates agree to
-    DEFAULT_TOL (halved per level), at most MAX_DEPTH levels deep.
+    ``func`` is vectorized in u = x - center; ``edges`` are the n+1
+    increasing bin edges in x; ``width`` is the length scale of the peak
+    at u = 0, which gets break points at u = +-width 4^k while these are
+    shorter than the widest bin. Returns the n bin integrals. Each panel
+    is refined until its whole and two-half estimates agree to DEFAULT_TOL
+    times max(1, |first-pass total|), halved per level, at most MAX_DEPTH
+    levels deep.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    return _refine(func, lo, hi, DEFAULT_TOL, MAX_DEPTH)
-
-
-def _refine(func, lo, hi, tol, depth):
+    u = np.asarray(edges, dtype=float) - center
+    steps = width * 4.0 ** np.arange(
+        math.ceil(math.log(np.diff(u).max() / width, 4)))
+    breaks = np.concatenate([-steps, steps])
+    panels = np.union1d(u, breaks[(breaks > u[0]) & (breaks < u[-1])])
+    lo, hi = panels[:-1], panels[1:]
     whole = _panel_estimates(func, lo, hi)
+    tol = DEFAULT_TOL * max(1.0, abs(whole.sum()))
+    parts = _refine(func, lo, hi, whole, tol, MAX_DEPTH)
+    return np.add.reduceat(parts, np.searchsorted(panels, u[:-1]))
+
+
+def _refine(func, lo, hi, whole, tol, depth):
+    """Halve each panel until its halves sum to its whole estimate."""
     mid = 0.5 * (lo + hi)
     left = _panel_estimates(func, lo, mid)
     right = _panel_estimates(func, mid, hi)
     halves = left + right
-    if depth <= 0:
-        return halves
     bad = np.abs(halves - whole) > tol
-    if not bad.any():
+    if depth <= 0 or not bad.any():
         return halves
     result = halves.copy()
-    refined_left = _refine(func, lo[bad], mid[bad], 0.5 * tol, depth - 1)
-    refined_right = _refine(func, mid[bad], hi[bad], 0.5 * tol, depth - 1)
-    result[bad] = refined_left + refined_right
+    result[bad] = (
+        _refine(func, lo[bad], mid[bad], left[bad], 0.5 * tol, depth - 1)
+        + _refine(func, mid[bad], hi[bad], right[bad], 0.5 * tol, depth - 1))
     return result

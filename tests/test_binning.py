@@ -144,6 +144,12 @@ def test_truncation_warning_near_boundary():
         bin_probabilities(psf, SourceConfig(x0=0.12, d=0.01), 10)
 
 
+def test_truncation_warning_points_at_the_caller():
+    with pytest.warns(MassTruncationWarning) as record:
+        bin_probabilities(PsfModel.gaussian(0.3), SourceConfig(0.5, 0.1), 10)
+    assert record[0].filename == __file__
+
+
 @pytest.mark.parametrize("psf", [PsfModel.gaussian(0.1),
                                  PsfModel.airy(0.05),
                                  PsfModel.airy(0.2)])
@@ -200,16 +206,16 @@ def test_gaussian_bins_match_quadrature(sigma, n, x0):
     # the closed form agrees with plain quadrature where that sees the peak
     psf = PsfModel.gaussian(sigma)
     probs = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n)
-    by_quad = integrate_bins(lambda x: kernel_value(psf, x - x0),
-                             bin_edges(n))
+    by_quad = integrate_bins(lambda u: kernel_value(psf, u),
+                             bin_edges(n), x0, sigma)
     assert_allclose(probs.p0, by_quad, rtol=0.0, atol=1e-13)
 
 
 def test_bin_curvature_integrals_match_quadrature():
     psf = PsfModel.gaussian(0.0849)
     by_slope = bin_curvature_integrals(psf, 0.5, 20)
-    by_quad = integrate_bins(lambda x: psf_second_derivative(psf, x - 0.5),
-                             bin_edges(20))
+    by_quad = integrate_bins(lambda u: psf_second_derivative(psf, u),
+                             bin_edges(20), 0.5, psf.sigma)
     assert_allclose(by_slope, by_quad, atol=1e-11)
     # edges telescope: the total integral is h'(1 - x0) - h'(-x0)
     total = (psf_first_derivative(psf, 0.5)

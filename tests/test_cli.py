@@ -614,8 +614,8 @@ def test_warning_prints_as_one_line():
 
 
 def test_cli_import_loads_no_heavy_dependency():
-    # root solver, quadrature and thread pool are imported by the code that
-    # uses them, not by building the parser; scipy.stats not at all.
+    # root solver and thread pool are imported by the code that uses them,
+    # not by building the parser; scipy.stats and scipy.integrate not at all.
     # (concurrent.futures itself comes in with scipy.special's numpy.testing)
     deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "concurrent.futures.thread")
@@ -624,3 +624,29 @@ def test_cli_import_loads_no_heavy_dependency():
                      f"print([m for m in {deferred!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_kernel_integrals_load_no_scipy_integrate():
+    # the curvature and information integrals of an airy kernel and of an
+    # off-center gaussian go through statres.quadrature
+    proc = run_fresh("-c", "import contextlib, io, sys, statres.cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    statres.cli.main(['resolve', '--psf', 'airy:0.2',\n"
+                     "                      '--gamma', '0.2'])\n"
+                     "    statres.cli.main(['check', '--riemann', '--psf',\n"
+                     "                      'gaussian:0.002', '--x0', '0.3'])\n"
+                     "print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_off_center_narrow_gaussian_resolves_as_centered(capsys):
+    # the information integral of a kernel far narrower than the window
+    # does not depend on where in the window its source sits
+    ds = []
+    for x0 in ("0.3", "0.5"):
+        code, out, _ = run(capsys, ["resolve", "--psf", "gaussian:1e-5",
+                                    "--x0", x0])
+        assert code == 0
+        ds.append(float(parse_csv(out)[2][0]["d"]))
+    assert abs(ds[0] - ds[1]) <= 1e-9 * ds[1]

@@ -141,7 +141,8 @@ GRID_COMMANDS = [["simulate", "--grid"], ["simulate", "--method", "formula",
                  ["scan", "--grid"], ["scan", "--kind", "weight", "--grid"]]
 BAD_BIN_COUNTS = ["2.5,20", "1e30", "20,abc", "0", "-3"]
 BAD_KERNELS = ["gaussian", "foo:1", "gaussian:abc", "gaussian:-1", "airy:0",
-               "gaussian:inf", "airy:nan", ":"]
+               "gaussian:inf", "airy:nan", ":", "gaussian:1e-300",
+               "gaussian:1e300", "airy:1e-300", "airy:1e300"]
 KERNEL_COMMANDS = [["resolve"], ["power", "--d", "0.1"],
                    ["check", "--riemann"], ["scan"]]
 

@@ -230,7 +230,7 @@ def test_quadrature_path_matches_closed_form():
                         fisher_integral(psf), rtol=1e-8)
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.005, 0.002, 0.001, 0.0005])
+@pytest.mark.parametrize("sigma", [0.01, 0.005, 0.002, 0.001, 0.0005, 1e-5])
 def test_off_center_narrow_gaussian_fisher_integral(sigma):
     # far from x0 = 0.3 the kernel and its h'' underflow to 0; the
     # integrand reads 0 there, not 0/0, and the window holds the whole peak
@@ -238,7 +238,16 @@ def test_off_center_narrow_gaussian_fisher_integral(sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         off_center = fisher_integral(psf, x0=0.3)
+        off_center_curvature = curvature_integral(psf, x0=0.3)
     assert_allclose(off_center, fisher_integral(psf), rtol=1e-12)
+    assert_allclose(off_center_curvature, curvature_integral(psf), rtol=1e-12)
+
+
+def test_narrow_airy_curvature_integral_follows_the_width_cube_law():
+    # the window holds the whole peak, so the integral scales as fwhm^-3
+    scaled = [curvature_integral(PsfModel.airy(f), x0=0.4)
+              * (f / AIRY_FWHM_U) ** 3 for f in (1e-3, 1e-5, 1e-7)]
+    assert_allclose(scaled, scaled[0], rtol=1e-10)
 
 
 def test_fisher_integral_decreases_with_background():
@@ -280,6 +289,12 @@ def test_mass_fraction_gaussian():
 def test_mass_fraction_airy_near_one_when_contained():
     psf = PsfModel.airy(0.05)
     assert mass_fraction(psf, 0.5) > 0.99
+
+
+@pytest.mark.parametrize("x0", [0.5, 0.37])
+def test_mass_fraction_narrow_airy_is_one(x0):
+    # the oscillating tail outside the window holds under 1e-10 of the mass
+    assert abs(mass_fraction(PsfModel.airy(1e-5), x0) - 1.0) < 1e-6
 
 
 def test_psf_validation():

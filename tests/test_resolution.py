@@ -258,6 +258,27 @@ def test_library_solve_shows_a_warning_once():
     assert sum("MassTruncationWarning" in line for line in lines) == 1
 
 
+def test_library_mc_and_exact_solves_show_a_warning_once():
+    # the gap and the draws call the same pair_profiles function, which
+    # warns at its own line, so the registry shows the warning once
+    script = (
+        "from statres.models import NoiseModel, RngState\n"
+        "from statres.psf import PsfModel\n"
+        "from statres.resolution import (ResolutionQuery, exact_resolution,\n"
+        "                                mc_resolution)\n"
+        "query = ResolutionQuery(model=NoiseModel('vsg'),\n"
+        "                        psf=PsfModel.gaussian(0.3), t=100.0)\n"
+        "mc_resolution(query, reps=1000, rng=RngState(seed=0))\n"
+        "exact_resolution(ResolutionQuery(model=NoiseModel('hg'),\n"
+        "                                 psf=query.psf, t=100.0))\n")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert sum("MassTruncationWarning" in line for line in lines) == 1
+
+
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
 def test_mc_search_recovers_from_a_missed_first_probe(mode):
     # at reps = 200 the band half-width 0.005 is a quarter of a standard
