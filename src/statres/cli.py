@@ -590,9 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     shown, lock = set(), threading.Lock()
 
     def format_warning(message, category, *_):
-        # once per command by text: a module imported mid-command resets
-        # the warnings registry, so the same call site can warn again;
-        # simulate's threads warn too, hence the lock
+        # once per command by text: the registry shows a warning once per
+        # line, and different lines raise the same message; simulate's
+        # threads warn too, hence the lock
         text = f"warning: {category.__name__}: {message}\n"
         with lock:
             if text in shown:

@@ -390,8 +390,12 @@ def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
     """Kolmogorov-Smirnov distance from N(0, 1) of T drawn under the null
     (substream 0 of rng) and the alternative (1), each standardized by its
     exact moments; a side passes at a distance of at most KS_BOUND. The
-    distance is computed here (``ks_normal_distance``), not by scipy.stats."""
+    distance is computed here (``ks_normal_distance``), not by scipy.stats.
+    T of zero variance raises ModelAssumptionError before any draw."""
     e0, v0, e1, v1 = statistic_moments(model, probs, t)
+    if v0 == 0.0 or v1 == 0.0:
+        raise ModelAssumptionError("T has zero variance: the pair's bins "
+                                   "equal the single source's")
     records = []
     for side, mean, var in ((0, e0, v0), (1, e1, v1)):
         stats = draw_statistic(model, probs, t, side, reps, rng)

@@ -6,7 +6,7 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
 
 * ``asymptotic_resolution``  closed-form rate with exact kernel integrals,
 * ``finite_n_resolution``    closed-form rate with per-bin integrals,
-* ``exact_resolution``       Brent's method on the exact Gaussian-model
+* ``exact_resolution``       a root search on the exact Gaussian-model
                              power,
 * ``mc_resolution``          a search on a Monte Carlo power estimate that
                              starts at the analytic critical separation
@@ -174,9 +174,6 @@ def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
     ``profiles`` is the query's ``pair_profiles``, which integrated the
     null bins once. The gap of every separation evaluated is cached.
     """
-    # importing scipy.optimize resets the registry that shows each warning
-    # once, so it is imported before the solve's first warning can be shown
-    import scipy.optimize  # noqa: F401
 
     @functools.cache
     def gap(d: float) -> float:
@@ -189,37 +186,48 @@ def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
     return gap
 
 
-def _power_root(gap, lo: float, hi: float) -> tuple[float, float, int]:
-    """Root of the ``_power_gap`` in the bracket [lo, hi] by Brent's method.
+def _power_root(gap, fwhm: float, cap: float) -> float | None:
+    """First point of the grid k * ROOT_GRID, at most ``cap``, whose gap is
+    >= 0, or None when the gap at the cap is < 0.
 
-    The root reported is the first point of the grid k * ROOT_GRID whose
-    gap is >= 0. Brent's method finds it within a step or two; the last
-    steps read only the sign of the gap, so queries whose gaps agree in
-    exact arithmetic but not in the last bits (hg with and without a
-    background pedestal) give the same root.
-
-    Returns the root, its gap and the number of gap evaluations, those
-    made before the call (the bracket ends among them) included.
+    The bracket grows from min(FWHM, cap) by MC_EXPANSION_FACTOR up to the
+    first end past the root. Illinois steps on k (Dowell & Jarratt, BIT
+    1971) close it: each probe is the grid point nearest the secant root,
+    strictly inside the bracket, and an end kept twice in a row has its
+    gap halved. The search ends at adjacent grid points, read by sign only,
+    so queries whose gaps differ only in the last bits (hg with and
+    without a background pedestal) give the same root.
     """
-    from scipy.optimize import brentq
-
-    k = math.floor(brentq(gap, lo, hi, xtol=ROOT_GRID) / ROOT_GRID)
-    while gap(k * ROOT_GRID) >= 0.0:
-        k -= 1
-    while gap((k + 1) * ROOT_GRID) < 0.0:
-        k += 1
-    root = (k + 1) * ROOT_GRID
-    return root, gap(root), gap.cache_info().currsize
+    top = math.floor(cap / ROOT_GRID)
+    a, b = 0, min(max(1, math.ceil(fwhm / ROOT_GRID)), top)
+    while gap(b * ROOT_GRID) < 0.0:
+        if b == top:
+            return None
+        a, b = b, min(math.ceil(MC_EXPANSION_FACTOR * b), top)
+    ga, gb = gap(a * ROOT_GRID), gap(b * ROOT_GRID)
+    kept = 0  # +1: b was kept by the last step, -1: a was
+    while b - a > 1:
+        k = min(max(round(b - gb * (b - a) / (gb - ga)), a + 1), b - 1)
+        gk = gap(k * ROOT_GRID)
+        if gk < 0.0:
+            if kept > 0:
+                gb *= 0.5
+            a, ga, kept = k, gk, 1
+        else:
+            if kept < 0:
+                ga *= 0.5
+            b, gb, kept = k, gk, -1
+    return b * ROOT_GRID
 
 
 def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
-    """Brent's method on the exact power of the Gaussian-model tests.
+    """Root search on the exact power of the Gaussian-model tests.
 
     Finds the d at which the level-alpha test has power exactly 1 - beta,
     the root of m(d) = (z_(1-alpha) + z_(1-beta))^2 / 2 with m the
-    model's separation measure. Not defined for poisson. Raises
-    NoResolutionError when even the widest pair the window admits falls
-    short of that power.
+    model's separation measure, on the grid of ``_power_root``. Not
+    defined for poisson. Raises NoResolutionError when even the widest
+    pair the window admits falls short of that power.
     """
     if query.model.kind == "poisson":
         raise UnsupportedMethodError(
@@ -228,28 +236,13 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
     hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
     profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
     gap = _power_gap(query, profiles)
-    if gap(hi) < 0.0:
+    d = _power_root(gap, psf_fwhm(query.psf), hi)
+    if d is None:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
-    d, residual, evaluations = _power_root(gap, 0.0, hi)
-    diag = {"iterations": evaluations, "residual": residual}
+    diag = {"iterations": gap.cache_info().currsize, "residual": gap(d)}
     return _checked_result(d, "exact", diag)
-
-
-def _analytic_start(gap, fwhm: float, cap: float) -> float:
-    """Separation where the closed-form power reaches 1 - beta, or the cap.
-
-    The bracket grows from min(FWHM, cap) by the Monte Carlo expansion
-    factor and stops at the first end past the root, so no wider
-    separation is ever evaluated.
-    """
-    lo, hi = 0.0, min(fwhm, cap)
-    while gap(hi) < 0.0:
-        if hi >= cap * (1.0 - 1e-12):
-            return cap
-        lo, hi = hi, min(MC_EXPANSION_FACTOR * hi, cap)
-    return _power_root(gap, lo, hi)[0]
 
 
 def mc_resolution(query: ResolutionQuery, reps: int = 10000,
@@ -301,7 +294,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             "x0 leaves no room for two sources inside (0.05, 0.95)")
 
     profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
-    start = _analytic_start(_power_gap(query, profiles), fwhm, cap)
+    start = _power_root(_power_gap(query, profiles), fwhm, cap) or cap
     d = start
     beta_hat = type2(d, 0, 0)
     # walk outward until a probe lands in the band or the band is

@@ -528,6 +528,18 @@ def test_model_assumption_violation_exits_4(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "--clt", "--d", "0", "--reps", "200"],
+    # d = FWHM / 2 keeps both sources in the null source's bin
+    ["check", "--hg-normality", "--psf", "gaussian:1e-20", "--x0", "0.912"],
+])
+def test_degenerate_normality_check_exits_4(capsys, argv):
+    # the pair's bins equal the null's, so T has zero variance
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["power", "--d", "0.1", "--method", "mc", "--reps", "100",
      "--t", "1e300"],
     ["check", "--clt", "--reps", "100", "--t", "1e30"],
@@ -614,8 +626,8 @@ def test_warning_prints_as_one_line():
 
 
 def test_cli_import_loads_no_heavy_dependency():
-    # root solver and thread pool are imported by the code that uses them,
-    # not by building the parser; scipy.stats and scipy.integrate not at all.
+    # the thread pool is imported by the code that uses it, not by building
+    # the parser; scipy.stats, scipy.integrate and scipy.optimize not at all.
     # (concurrent.futures itself comes in with scipy.special's numpy.testing)
     deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "concurrent.futures.thread")
@@ -628,16 +640,22 @@ def test_cli_import_loads_no_heavy_dependency():
 
 def test_kernel_integrals_load_no_scipy_integrate():
     # the curvature and information integrals of an airy kernel and of an
-    # off-center gaussian go through statres.quadrature
+    # off-center gaussian go through statres.quadrature, and the exact and
+    # Monte Carlo solves find their roots in statres.resolution
+    unused = ("scipy.integrate", "scipy.optimize")
     proc = run_fresh("-c", "import contextlib, io, sys, statres.cli\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      "    statres.cli.main(['resolve', '--psf', 'airy:0.2',\n"
                      "                      '--gamma', '0.2'])\n"
                      "    statres.cli.main(['check', '--riemann', '--psf',\n"
                      "                      'gaussian:0.002', '--x0', '0.3'])\n"
-                     "print('scipy.integrate' in sys.modules)")
+                     "    statres.cli.main(['resolve', '--method', 'exact',\n"
+                     "                      '--model', 'vsg'])\n"
+                     "    statres.cli.main(['resolve', '--method', 'mc',\n"
+                     "                      '--reps', '1000'])\n"
+                     f"print([m for m in {unused!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_off_center_narrow_gaussian_resolves_as_centered(capsys):

@@ -161,7 +161,7 @@ def test_exact_resolution_reaches_the_requested_power():
             assert_allclose(report.power, 1.0 - beta, atol=1e-9)
 
 
-def test_exact_resolution_counts_brent_evaluations():
+def test_exact_resolution_counts_gap_evaluations():
     # plain bisection took 37 evaluations
     result = exact_resolution(make_query("vsg", t=20.0, n=20))
     assert 3 <= result.diagnostics["iterations"] <= 20
@@ -242,8 +242,8 @@ def test_mc_resolution_integrates_the_null_once(monkeypatch):
 
 
 def test_library_solve_shows_a_warning_once():
-    # in a fresh interpreter the solve imports scipy.optimize itself, and
-    # that import resets the registry that shows a warning once
+    # in a fresh interpreter, so no earlier call has filled the registry
+    # that shows a warning once
     script = (
         "from statres.models import NoiseModel\n"
         "from statres.psf import PsfModel\n"
