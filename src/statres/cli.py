@@ -13,8 +13,8 @@ messages, each warning as one ``warning: <Category>: <message>`` line.
 Option precedence is flags over config file over defaults; the
 config file is line-oriented ``key = value`` text keyed by flag names.
 
-Exit codes: 0 success, 2 parameter error, 3 no resolution in range,
-4 model-assumption violation.
+Exit codes: 0 success, 1 the reader closed stdout, 2 parameter error,
+3 no resolution in range, 4 model-assumption violation.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .binning import SourceConfig, bin_probabilities
 from .exceptions import (ParameterError, StatresError,
                          UnsupportedMethodError)
 from .models import (MODEL_KINDS, THRESHOLD_MODES, NoiseModel, RngState,
-                     analytic_report, exact_error_rates, mc_error_rates,
-                     normality_check)
+                     analytic_report, mc_error_rates, normality_check)
 from .psf import GAUSSIAN_FWHM_FACTOR, PsfModel, psf_fwhm
 from .resolution import ResolutionQuery, resolve_query
 
@@ -350,18 +349,20 @@ def cmd_power(opts: dict) -> tuple[list[dict], dict]:
     if opts["d"] is None:
         raise ParameterError("power requires --d")
     psf, model = parse_query_model(opts)
-    method = opts["method"] or ("clt" if model.kind == "poisson"
-                                else "exact")
-    if method == "clt" and model.kind != "poisson":
+    # the closed-form report is exact for hg/vsg and the CLT for poisson
+    closed = "clt" if model.kind == "poisson" else "exact"
+    method = opts["method"] or closed
+    if method not in (closed, "mc"):
         raise UnsupportedMethodError(
-            "the clt method applies to the poisson model only")
+            "the clt method applies to the poisson model only"
+            if method == "clt" else
+            "the exact method does not apply to the poisson model; "
+            "use --method clt or mc")
     src = SourceConfig(x0=opts["x0"], d=opts["d"],
                        weight_q=opts["q_weight"],
                        offset_lambda=opts["offset_lambda"])
     probs = bin_probabilities(psf, src, opts["n"])
-    if method == "exact":
-        report = exact_error_rates(model, probs, opts["t"], opts["alpha"])
-    elif method == "clt":
+    if method == closed:
         report = analytic_report(model, probs, opts["t"], opts["alpha"])
     else:
         report = mc_error_rates(model, probs, opts["t"], opts["alpha"],
@@ -603,10 +604,20 @@ def main(argv: list[str] | None = None) -> int:
     previous, warnings.formatwarning = warnings.formatwarning, format_warning
     try:
         run_command(build_parser().parse_args(argv))
+        # a closed pipe surfaces here, not at interpreter exit
+        sys.stdout.flush()
         return 0
     except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull so that
+        # the flush at exit cannot fail again (the Python docs' note on
+        # SIGPIPE); SIGPIPE keeps its handler for in-process callers
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         warnings.formatwarning = previous
 

@@ -13,10 +13,10 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
                              and walks outward, then bisects, only when
                              the simulation disagrees with it.
 
-The two Gaussian models scale differently: the variance-stabilized model
-(and Poisson, which shares its asymptotics) resolves at order t^(-1/4)
-independent of the bin count, while the homogeneous model resolves at
-order t^(-1/2) n^(1/4), paying for its signal-independent noise floor.
+The closed-form routes share one small-d law, written out in ``_law``;
+each supplies only the kernel information it enters. The homogeneous
+model resolves more slowly in eta t than the variance-stabilized model
+and Poisson, paying for its signal-independent noise floor.
 """
 
 from __future__ import annotations
@@ -91,18 +91,28 @@ class ResolutionResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _quantile_gap(alpha: float, beta: float) -> float:
-    """z_(1-alpha) + z_(1-beta), the quantile span the test must cover."""
-    gap = float(ndtri(1.0 - alpha) + ndtri(1.0 - beta))
-    if gap <= 0.0:
-        raise ParameterError("alpha and beta leave no quantile gap")
-    return gap
+def _law(query: ResolutionQuery, information: float) -> float:
+    """The small-d law: the critical separation of a query whose kernel
+    carries the information I,
 
+        d = sqrt(2 / (q (1 - q))) sqrt(z_(1-alpha) + z_(1-beta))
+            I^(-1/4) tau^(-k),    tau = eta t,
 
-def _prefactor(query: ResolutionQuery) -> float:
+    with k = 1/2 for hg and k = 1/4 for poisson and vsg, so thinning
+    enters only through eta t. For poisson and vsg, I is the Fisher-type
+    information sum_i (int_i h'')^2 / int_i (h + background), whose
+    large-n limit is the integral of h''^2 / (h + background); for hg it
+    is sum_i (int_i h'')^2, whose limit is the integral of h''^2 over n.
+    No information (a kernel too narrow for the bins) gives d = inf.
+    """
+    if not information > 0.0:
+        return math.inf
     q = query.weight_q
-    return (math.sqrt(2.0) / math.sqrt(q * (1.0 - q))
-            * math.sqrt(_quantile_gap(query.alpha, query.beta)))
+    gap = float(ndtri(1.0 - query.alpha) + ndtri(1.0 - query.beta))
+    d = (math.sqrt(2.0) / math.sqrt(q * (1.0 - q)) * math.sqrt(gap)
+         * information ** -0.25)
+    tau = query.model.thinning * query.t
+    return d / math.sqrt(tau) if query.model.kind == "hg" else d * tau ** -0.25
 
 
 def _checked_result(d: float, method: str, diag: dict) -> ResolutionResult:
@@ -113,26 +123,21 @@ def _checked_result(d: float, method: str, diag: dict) -> ResolutionResult:
 
 
 def asymptotic_resolution(query: ResolutionQuery) -> ResolutionResult:
-    """Large-t resolution with exact kernel integrals.
+    """Large-t resolution: ``_law`` with the exact limit integrals.
 
-    Poisson and vsg share the t^(-1/4) law through the Fisher-type
-    integral of h''^2 / (h + background); hg follows the slower
-    t^(-1/2) n^(1/4) law through the squared-curvature integral and is
-    guaranteed only while n grows slower than t^2 (flagged otherwise).
+    The hg value is guaranteed only while n grows slower than t^2
+    (flagged otherwise).
     """
-    eta = query.model.thinning
-    t = query.t
     diag: dict[str, Any] = {}
     if query.model.kind == "hg":
         integral = curvature_integral(query.psf, x0=query.x0)
-        d = (_prefactor(query) * (eta ** 2 * integral) ** -0.25
-             / math.sqrt(t) * query.n ** 0.25)
-        if query.n >= t * t:
+        d = _law(query, integral / query.n)
+        if query.n >= query.t * query.t:
             diag["note"] = ("n >= t^2: outside the hg guarantee regime, "
                             "value extrapolated")
     else:
         integral = fisher_integral(query.psf, x0=query.x0)
-        d = _prefactor(query) * (eta * integral) ** -0.25 * t ** -0.25
+        d = _law(query, integral)
     diag["integral"] = integral
     return _checked_result(d, "asymptotic", diag)
 
@@ -149,16 +154,13 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
         raise UnsupportedMethodError(
             "finite-n resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
-    tau = query.model.thinning * query.t
     if query.model.kind == "hg":
         curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
         bin_sum = float(np.einsum("i,i->", curvature_bins, curvature_bins))
     else:
         bin_sum = bin_information_sum(query.psf, query.x0, query.n)
-    # a kernel too narrow for the bins leaves no information: d is infinite
-    d = _prefactor(query) * (bin_sum ** -0.25 if bin_sum > 0.0 else math.inf)
-    d = d / math.sqrt(tau) if query.model.kind == "hg" else d * tau ** -0.25
-    return _checked_result(d, "finite_n", {"bin_sum": bin_sum})
+    return _checked_result(_law(query, bin_sum), "finite_n",
+                           {"bin_sum": bin_sum})
 
 
 def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
@@ -177,9 +179,6 @@ def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
 
     @functools.cache
     def gap(d: float) -> float:
-        if d == 0.0:
-            # the pair coincides with the single source: power is the level
-            return query.alpha - (1.0 - query.beta)
         return (analytic_report(query.model, profiles(d), query.t,
                                 query.alpha).power - (1.0 - query.beta))
 
@@ -299,26 +298,18 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     beta_hat = type2(d, 0, 0)
     # walk outward until a probe lands in the band or the band is
     # bracketed: beta_hat(lo) >= band_hi and beta_hat(hi) < band_lo
-    expansions = 0
-    factor = MC_WALK_FACTOR
-    if beta_hat >= band_hi:
-        while beta_hat >= band_hi:
-            if d >= cap * (1.0 - 1e-12):
-                raise NoResolutionError(
-                    f"type-II rate {beta_hat} stays above the band even "
-                    f"at the separation cap {cap}")
-            lo, d = d, min(factor * d, cap)
-            factor *= factor
-            expansions += 1
-            beta_hat = type2(d, 0, expansions)
-        hi = d
-    elif beta_hat < band_lo:
-        while beta_hat < band_lo:
-            hi, d = d, d / factor
-            factor *= factor
-            expansions += 1
-            beta_hat = type2(d, 0, expansions)
-        lo = d
+    above = beta_hat >= band_hi
+    expansions, factor = 0, MC_WALK_FACTOR
+    while beta_hat >= band_hi if above else beta_hat < band_lo:
+        if above and d >= cap * (1.0 - 1e-12):
+            raise NoResolutionError(
+                f"type-II rate {beta_hat} stays above the band even "
+                f"at the separation cap {cap}")
+        last, d = d, min(factor * d, cap) if above else d / factor
+        lo, hi = sorted((last, d))
+        factor *= factor
+        expansions += 1
+        beta_hat = type2(d, 0, expansions)
 
     converged = band_lo <= beta_hat < band_hi
     iterations = 0
@@ -372,10 +363,9 @@ def detection_boundary(model: NoiseModel, fwhm: float, t: float, n: int,
                        weight_q: float = 0.5) -> float:
     """Leading-order critical separation for a Gaussian kernel.
 
-    Small-width limits of the kernel integrals give pure power laws:
-    hg resolves at C sqrt(z) t^(-1/2) n^(1/4) fwhm^(5/4) and
-    poisson/vsg at C' sqrt(z) t^(-1/4) fwhm, exactly linear in fwhm.
-    Thinning enters through eta * t as everywhere else.
+    ``_law`` with the small-width limits of the kernel integrals, which
+    make d a pure power law in the width: hg grows as fwhm^(5/4) and
+    poisson/vsg are exactly linear in fwhm.
     """
     if not fwhm > 0.0:
         raise ParameterError("fwhm must be > 0")
@@ -383,14 +373,11 @@ def detection_boundary(model: NoiseModel, fwhm: float, t: float, n: int,
                             psf=PsfModel.gaussian_from_fwhm(fwhm),
                             weight_q=weight_q, n=n, t=t,
                             alpha=alpha, beta=beta)
-    tau = model.thinning * t
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
     if model.kind == "hg":
-        integral = 3.0 / (8.0 * math.sqrt(math.pi)) * sigma ** -5.0
-        return (_prefactor(query) * integral ** -0.25
-                / math.sqrt(tau) * n ** 0.25)
-    integral = 2.0 * sigma ** -4.0
-    return _prefactor(query) * integral ** -0.25 * tau ** -0.25
+        curvature = 3.0 / (8.0 * math.sqrt(math.pi)) * sigma ** -5.0
+        return _law(query, curvature / n)
+    return _law(query, 2.0 * sigma ** -4.0)
 
 
 def resolve_query(query: ResolutionQuery, method: str = "asymptotic",

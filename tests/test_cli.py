@@ -264,6 +264,11 @@ def test_power_clt_rejects_gaussian_models(capsys):
     assert code == 2 and "poisson model only" in err
 
 
+def test_power_exact_rejects_poisson(capsys):
+    code, _, err = run(capsys, ["power", "--d", "0.15", "--method", "exact"])
+    assert code == 2 and "--method clt or mc" in err
+
+
 def test_power_mc_with_offset(capsys):
     code, out, _ = run(capsys, ["power", "--model", "hg", "--d", "0.15",
                                 "--method", "mc", "--reps", "2000",
@@ -505,6 +510,7 @@ def test_exact_narrow_gaussian_resolves_without_warning(capsys):
     ["scan", "--grid", ","],
     ["resolve", "--t", "inf"],
     ["power", "--d", "0.1", "--method", "mc", "--t", "inf"],
+    ["power", "--model", "poisson", "--d", "0.1", "--method", "exact"],
     ["resolve", "--bogus"],
     ["resolve", "--model", "gauss"],
     ["frobnicate"],
@@ -623,6 +629,18 @@ def test_warning_prints_as_one_line():
         "percent of its kernel mass inside [0, 1]; bin probabilities are "
         "truncated"]
     assert ".py:" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the command writes: exit 1, stderr empty
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.Popen([sys.executable, "-m", "statres.cli", "tables",
+                             "--format", "json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_cli_import_loads_no_heavy_dependency():

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from statres.exceptions import (ConvergenceWarning, GeometryError,
                                 UnsupportedMethodError)
 from statres.models import NoiseModel, RngState, exact_error_rates
 from statres.binning import SourceConfig, bin_probabilities
-from statres.psf import GAUSSIAN_FWHM_FACTOR, PsfModel
+from statres.psf import GAUSSIAN_FWHM_FACTOR, PsfModel, psf_fwhm
 from statres.resolution import (ResolutionQuery, ResolutionResult,
                                 acuna_power, asymptotic_resolution,
                                 detection_boundary, exact_resolution,
@@ -352,14 +351,25 @@ def test_mc_calibrated_threshold_route():
 
 
 def test_thinning_enters_only_through_the_product():
-    for kind in ("vsg", "hg"):
-        thin = make_query(kind, t=80.0)
-        thin = replace(thin, model=NoiseModel(kind, thinning=0.25))
-        full = make_query(kind, t=20.0)
-        assert_allclose(asymptotic_resolution(thin).d,
-                        asymptotic_resolution(full).d, rtol=1e-14)
-        assert finite_n_resolution(thin).d == finite_n_resolution(full).d
-        assert exact_resolution(thin).d == exact_resolution(full).d
+    # every route sees eta and t only as eta t, so thinning eta at time t
+    # gives the bits of no thinning at time eta t
+    for psf, x0 in ((PsfModel.gaussian(SIGMA_02), 0.5),
+                    (PsfModel.gaussian(0.08, background=0.1), 0.4)):
+        fwhm = psf_fwhm(psf)
+        for eta, t in ((0.25, 80.0), (0.3, 20.0), (0.7, 20.0)):
+            for kind in ("vsg", "hg", "poisson"):
+                thin = ResolutionQuery(model=NoiseModel(kind, thinning=eta),
+                                       psf=psf, x0=x0, t=t)
+                full = ResolutionQuery(model=NoiseModel(kind), psf=psf,
+                                       x0=x0, t=eta * t)
+                routes = [asymptotic_resolution]
+                if kind != "poisson":
+                    routes += [finite_n_resolution, exact_resolution]
+                for route in routes:
+                    assert route(thin).d == route(full).d, (route, kind, eta)
+                assert (detection_boundary(thin.model, fwhm, t, 20, 0.1, 0.1)
+                        == detection_boundary(full.model, fwhm, eta * t, 20,
+                                              0.1, 0.1))
     thin = ResolutionQuery(model=NoiseModel("poisson", thinning=0.25),
                            psf=PsfModel.gaussian(SIGMA_02), t=80.0)
     full = make_query("poisson", t=20.0)
