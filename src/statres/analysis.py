@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from .binning import SourceConfig, bin_information_sum, bin_probabilities
 from .exceptions import GeometryError, ParameterError
-from .models import NoiseModel, RngState, analytic_report
+from .models import MODEL_KINDS, NoiseModel, RngState, analytic_report
 from .psf import PsfModel, fisher_integral
 from .resolution import (ResolutionQuery, asymptotic_resolution,
                          detection_boundary, mc_resolution)
@@ -35,7 +35,6 @@ POWER_TIE_TOL = 1e-12
 MAX_RIEMANN_BINS = 100_000
 
 TABLE1_ALPHAS = (0.01, 0.05, 0.1)
-TABLE2_TIMES = (10, 20, 30, 40, 50)
 
 
 def table1(alphas: Sequence[float] = TABLE1_ALPHAS) -> list[dict]:
@@ -177,7 +176,7 @@ class SweepSpec:
     t: float = 20.0
     n: int = 20
     alpha: float = 0.1
-    models: tuple = ("poisson", "vsg", "hg")
+    models: tuple = MODEL_KINDS
     reps: int = 10000
     seed: int = 0
     method: str = "mc"
@@ -202,7 +201,7 @@ class SweepSpec:
             raise ParameterError(
                 f"sweep needs distinct models, got {list(self.models)}")
         for kind in self.models:
-            if kind not in ("poisson", "vsg", "hg"):
+            if kind not in MODEL_KINDS:
                 raise ParameterError(f"unknown model kind {kind!r}")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
@@ -215,8 +214,6 @@ class FitResult:
     slope: float
     intercept: float
     residual_rms: float
-    grid: tuple
-    d_values: tuple
 
 
 def _sweep_point(spec: SweepSpec, kind: str, index: int) -> dict:
@@ -236,7 +233,7 @@ def _sweep_point(spec: SweepSpec, kind: str, index: int) -> dict:
             beta=spec.alpha)
         # streams depend on (kind, grid index) only, so results do not
         # change with worker count or with the set of models requested
-        stream = ("poisson", "vsg", "hg").index(kind) * 100000 + index
+        stream = MODEL_KINDS.index(kind) * 100000 + index
         result = mc_resolution(query, reps=spec.reps,
                                rng=RngState(seed=spec.seed, stream=stream),
                                threshold_mode=spec.threshold_mode)
@@ -275,7 +272,5 @@ def simulation_sweep(spec: SweepSpec) -> tuple[list[dict], dict[str, FitResult]]
         resid = ys - (slope * xs + intercept)
         fits[kind] = FitResult(slope=float(slope),
                                intercept=float(intercept),
-                               residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                               grid=tuple(float(v) for v in spec.grid),
-                               d_values=tuple(r["d"] for r in rows))
+                               residual_rms=float(np.sqrt(np.mean(resid ** 2))))
     return records, fits

@@ -9,10 +9,10 @@ split between two sources at
 so that for offset_lambda = 0 the intensity-weighted center of the pair
 stays at x0. Bin probabilities are integrals of the kernel plus background
 over each bin; the constant pedestal contributes exactly background / n per
-bin and is added analytically. A Gaussian bin integral is a difference of
-normal CDFs; an Airy one goes through the Gauss-Legendre quadrature of
-``statres.quadrature``, which works in u = x - center and puts break points
-around the peak when the kernel is narrower than a bin.
+bin and is added analytically. The kernel's bin masses come from
+``psf._kernel_bins``, the one path to them, so this module holds the
+geometry, the profiles, the truncation warning and the curvature and
+information sums, and integrates nothing itself.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import GeometryError, MassTruncationWarning, ParameterError
-from .psf import (PsfModel, _width, kernel_value, psf_first_derivative,
-                  total_mass)
-from .quadrature import integrate_bins
+from .psf import PsfModel, _kernel_bins, psf_first_derivative, total_mass
 
 MASS_WARN_FRACTION = 0.99
 
@@ -89,20 +86,6 @@ def bin_edges(n: int) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError("bin count n must be an integer >= 1")
     return np.linspace(0.0, 1.0, n + 1)
-
-
-def _kernel_bins(psf: PsfModel, center: float, edges: np.ndarray) -> np.ndarray:
-    """Kernel mass of a source at ``center`` inside each bin."""
-    if psf.kind == "gaussian":
-        # neighboring bins share an edge, so each CDF is taken once per
-        # edge; right of the center the upper tails differ without
-        # cancellation
-        z = (edges - center) / psf.sigma
-        lower, upper = ndtr(z), ndtr(-z)
-        return np.where(z[:-1] >= 0.0, upper[:-1] - upper[1:],
-                        lower[1:] - lower[:-1])
-    return integrate_bins(lambda u: kernel_value(psf, u), edges, center,
-                          _width(psf))
 
 
 def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilities:

@@ -122,15 +122,16 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
     probabilities p under the given model.
 
     Deterministic given the RngState: repeated calls with the same state
-    return the same draws. Rows are drawn in chunks of about
-    SAMPLE_CHUNK_VALUES variates, so a Poisson draw needs one chunk of
-    integer counts as its only temporary. The generator fills the rows in
-    order, so the result equals a single full-size draw.
+    return the same draws. Both modes draw the rows into one reused
+    buffer, a chunk of about SAMPLE_CHUNK_VALUES variates, so a Poisson
+    draw needs one chunk of integer counts as its only temporary. The
+    generator fills the rows in order, so the result equals a single
+    full-size draw.
 
-    With ``reduce``, each chunk of rows is drawn into one reused buffer
-    and handed to ``reduce``, which maps it to one value per row; the
-    result is the vector of those values (length reps), and the draw never
-    holds more than one chunk of records.
+    Without ``reduce``, each chunk is copied into the records. With
+    ``reduce``, each chunk is handed to ``reduce``, which maps it to one
+    value per row; the result is the vector of those values (length
+    reps), and the draw never holds more than one chunk of records.
     """
     _check_t(t)
     p = np.asarray(p, dtype=float)
@@ -149,21 +150,17 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
     shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
     rows = 1 if reps is None else reps
     step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
-    if reduce is None:
-        out = buffer = np.empty((rows, lam.size))
-    else:
-        out, buffer = np.empty(rows), np.empty((min(step, rows), lam.size))
+    out = np.empty((rows, lam.size) if reduce is None else rows)
+    buffer = np.empty((min(step, rows), lam.size))
     for first in range(0, rows, step):
-        size = min(step, rows - first)
-        start = first if reduce is None else 0
-        block = buffer[start:start + size]
+        block = buffer[:min(step, rows - first)]
         if model.kind == "poisson":
             block[...] = gen.poisson(lam, size=block.shape)
         else:
             gen.standard_normal(out=block)
             block += shift
-        if reduce is not None:
-            out[first:first + size] = reduce(block)
+        out[first:first + len(block)] = (block if reduce is None
+                                         else reduce(block))
     return out.reshape(p.shape) if reps is None and reduce is None else out
 
 
@@ -275,7 +272,9 @@ def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
 
     With m the separation measure, the statistic is N(-m, 2m) under the
     null and N(+m, 2m) under the alternative, so the threshold is
-    sqrt(2m) z_(1-alpha) - m and the power is Phi(sqrt(2m) - z_(1-alpha)).
+    sqrt(2m) z_(1-alpha) - m and the power is Phi(sqrt(2m) - z_(1-alpha)),
+    which is ``analytic_report``'s one formula for these moments. A
+    degenerate pair (m = 0) reports power = alpha.
     """
     if model.kind == "poisson":
         raise UnsupportedMethodError(
@@ -287,25 +286,27 @@ def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
 def poisson_clt_report(probs: BinProbabilities, t: float, alpha: float,
                        eta: float = 1.0) -> TestReport:
     """Normal-approximation level and power of the Poisson LRT, from the
-    exact moments of T. A degenerate alternative (p1 identical to p0)
-    reports power = alpha by convention."""
+    exact moments of T through ``analytic_report``'s one formula. A
+    degenerate alternative (p1 identical to p0) reports power = alpha, as
+    it does for every model."""
     return analytic_report(NoiseModel("poisson", thinning=eta), probs, t,
                            alpha)
 
 
 def analytic_report(model: NoiseModel, probs: BinProbabilities, t: float,
                     alpha: float) -> TestReport:
-    """Closed-form report: exact for hg/vsg, CLT for poisson."""
+    """Closed-form report from the moments (e0, v0, e1, v1) of T, one
+    formula for every model: threshold e0 + z_(1-alpha) sqrt(v0) and power
+    Phi((e1 - threshold) / sqrt(v1)). T is normal for hg and vsg, so the
+    report is exact there (the power is Phi(sqrt(2m) - z_(1-alpha))); for
+    poisson it is the CLT approximation. A degenerate pair (v0 = 0) reports
+    power = alpha for every model."""
     _check_alpha(alpha)
     e0, v0, e1, v1 = statistic_moments(model, probs, t)
     z = float(ndtri(1.0 - alpha))
     threshold = z * math.sqrt(v0) + e0
-    if model.kind != "poisson":
-        power = float(ndtr(math.sqrt(v0) - z))
-    elif v0 == 0.0:
-        power = alpha
-    else:
-        power = 1.0 - float(ndtr((threshold - e1) / math.sqrt(v1)))
+    power = (alpha if v0 == 0.0
+             else float(ndtr((e1 - threshold) / math.sqrt(v1))))
     return TestReport(threshold=threshold, level=alpha, power=power)
 
 

@@ -14,8 +14,13 @@ Both kernels have closed-form first and second derivatives. The
 squared-curvature integral of h'' and the Fisher-type integral of
 h''^2 / (h + background) are the only kernel functionals the resolution
 formulas need; a centered Gaussian has both in closed form. Every other
-case, and the Airy mass fraction, goes through the Gauss-Legendre
-quadrature of ``statres.quadrature`` in the kernel's coordinate u.
+case goes through the Gauss-Legendre quadrature of ``statres.quadrature``
+in the kernel's coordinate u.
+
+This module owns every kernel integral. ``_kernel_bins`` is the one path
+to the kernel's mass in a set of bins: a difference of normal CDFs for a
+Gaussian, the quadrature for an Airy pattern. Bin probabilities and the
+mass fraction inside [0, 1] both come from it.
 """
 
 from __future__ import annotations
@@ -232,6 +237,20 @@ def _window_integral(psf: PsfModel, func, center: float) -> float:
     return float(integrate_bins(func, (0.0, 1.0), center, _width(psf))[0])
 
 
+def _kernel_bins(psf: PsfModel, center: float, edges: np.ndarray) -> np.ndarray:
+    """Kernel mass of a source at ``center`` inside each bin."""
+    if psf.kind == "gaussian":
+        # neighboring bins share an edge, so each CDF is taken once per
+        # edge; right of the center the upper tails differ without
+        # cancellation
+        z = (edges - center) / psf.sigma
+        lower, upper = ndtr(z), ndtr(-z)
+        return np.where(z[:-1] >= 0.0, upper[:-1] - upper[1:],
+                        lower[1:] - lower[:-1])
+    return integrate_bins(lambda u: kernel_value(psf, u), edges, center,
+                          _width(psf))
+
+
 def total_mass(psf: PsfModel) -> float:
     """Mass of the kernel over the whole line (background excluded)."""
     if psf.kind == "gaussian":
@@ -240,9 +259,7 @@ def total_mass(psf: PsfModel) -> float:
 
 
 def mass_fraction(psf: PsfModel, center: float) -> float:
-    """Fraction of kernel mass inside [0, 1] for a source at ``center``."""
-    if psf.kind == "gaussian":
-        s = psf.sigma
-        return float(ndtr((1.0 - center) / s) - ndtr(-center / s))
-    inside = _window_integral(psf, lambda u: kernel_value(psf, u), center)
-    return inside / total_mass(psf)
+    """Fraction of kernel mass inside [0, 1] for a source at ``center``:
+    the one bin [0, 1] of ``_kernel_bins`` over the total mass."""
+    inside = _kernel_bins(psf, center, np.array([0.0, 1.0]))[0]
+    return float(inside) / total_mass(psf)

@@ -125,16 +125,17 @@ def _checked_result(d: float, method: str, diag: dict) -> ResolutionResult:
 def asymptotic_resolution(query: ResolutionQuery) -> ResolutionResult:
     """Large-t resolution: ``_law`` with the exact limit integrals.
 
-    The hg value is guaranteed only while n grows slower than t^2
+    The hg value is guaranteed only while n grows slower than (eta t)^2
     (flagged otherwise).
     """
     diag: dict[str, Any] = {}
     if query.model.kind == "hg":
         integral = curvature_integral(query.psf, x0=query.x0)
         d = _law(query, integral / query.n)
-        if query.n >= query.t * query.t:
-            diag["note"] = ("n >= t^2: outside the hg guarantee regime, "
-                            "value extrapolated")
+        tau = query.model.thinning * query.t
+        if query.n >= tau * tau:
+            diag["note"] = ("n >= (eta t)^2: outside the hg guarantee "
+                            "regime, value extrapolated")
     else:
         integral = fisher_integral(query.psf, x0=query.x0)
         d = _law(query, integral)

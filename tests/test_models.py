@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 import statres.models as models
@@ -361,19 +362,29 @@ def test_exact_error_rates_hit_target_power():
 
 
 def test_exact_error_rates_degenerate():
+    # a pair with p1 == p0 has power alpha exactly, as poisson's CLT
+    # report has (test_poisson_clt_degenerate_reports_level)
     probs = make_probs(d=0.0)
     for kind in ("hg", "vsg"):
         report = exact_error_rates(NoiseModel(kind), probs, 20.0, 0.1)
-        assert_allclose(report.power, 0.1, atol=1e-12)
+        assert report.power == 0.1
         assert_allclose(report.threshold, 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_power_increases_with_separation(kind):
     model = NoiseModel(kind)
-    powers = [analytic_report(model, make_probs(d=d, gamma=0.2), 20.0,
-                              0.1).power
-              for d in (0.05, 0.1, 0.15, 0.2)]
+    z = float(ndtri(0.9))
+    powers = []
+    for d in (0.05, 0.1, 0.15, 0.2):
+        probs = make_probs(d=d, gamma=0.2)
+        powers.append(analytic_report(model, probs, 20.0, 0.1).power)
+        if kind != "poisson":
+            # T is normal, so the one formula is the exact power
+            # Phi(sqrt(2m) - z_(1-alpha))
+            m = separation_measure(model, probs, 20.0)
+            assert_allclose(powers[-1], ndtr(math.sqrt(2.0 * m) - z),
+                            rtol=4e-15)
     assert all(a < b for a, b in zip(powers, powers[1:]))
     assert powers[0] > 0.1
 

@@ -395,6 +395,15 @@ def test_hg_regime_flag():
     assert "note" in flagged.diagnostics
     clean = asymptotic_resolution(make_query("hg", t=20.0, n=20))
     assert "note" not in clean.diagnostics
+    # the regime reads the photon count eta t, so a thinned query at
+    # n = 100 >= (0.3 * 20)^2 is flagged just as its unthinned twin is
+    thinned = asymptotic_resolution(ResolutionQuery(
+        model=NoiseModel("hg", thinning=0.3), psf=PsfModel.gaussian(SIGMA_02),
+        n=100, t=20.0))
+    twin = asymptotic_resolution(make_query("hg", t=6.0, n=100))
+    assert thinned.d == twin.d
+    assert thinned.diagnostics == twin.diagnostics
+    assert "note" in thinned.diagnostics
 
 
 def test_acuna_power_properties():
