@@ -26,9 +26,21 @@ and its moments and m = a.a / 2 come from the same a. Every sum over bins
 is a row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do
 not depend on the BLAS thread count.
 
-A Monte Carlo draw (``draw_statistic``) reduces each chunk of at most
-SAMPLE_CHUNK_VALUES variates to T before it draws the next, so it holds
-one chunk of records plus reps values of T, whatever reps is.
+A Monte Carlo draw (``draw_statistic``) goes one of two routes, chosen
+by ``draw_route`` from the query alone:
+
+* ``records``  each chunk of at most SAMPLE_CHUNK_VALUES variates (one per
+               bin and record) is reduced to T before the next is drawn.
+               Every hg and vsg draw goes this way, and so does a Poisson
+               draw that expects more than PHOTONS_PER_BIN photons per bin.
+* ``photons``  a Poisson draw expecting at most PHOTONS_PER_BIN photons per
+               bin draws each record's photon total N ~ Poi(eta t sum p)
+               and gives every photon a bin from p / sum p through Walker's
+               alias table. By Poisson splitting the bin counts, and so T,
+               have the same law as on the records route, and the cost
+               follows the photons, not the bin count.
+
+Either way a draw holds one chunk plus reps values of T, whatever reps is.
 """
 
 from __future__ import annotations
@@ -45,10 +57,14 @@ from .exceptions import (ModelAssumptionError, ParameterError,
                          UnsupportedMethodError)
 
 MODEL_KINDS = ("poisson", "vsg", "hg")
-# variates per chunk of a Monte Carlo draw: bounds the records a draw of
-# T holds, and the integer temporary of a Poisson draw, to 8 MB each
-# whatever reps is
-SAMPLE_CHUNK_VALUES = 1 << 20
+# variates (records route) or photons (photons route) per chunk of a Monte
+# Carlo draw, whatever reps is: photons ran as fast at 2^14 to 2^16 and
+# slower at 2^13 or 2^17 and above (BENCH_photon_draw.json)
+SAMPLE_CHUNK_VALUES = 1 << 16
+# a Poisson draw of T goes by photons while it expects at most this many
+# photons per bin, eta t sum(p) <= PHOTONS_PER_BIN * n; above it one
+# variate per bin is cheaper (the crossover in BENCH_photon_draw.json)
+PHOTONS_PER_BIN = 3.0
 # largest mean numpy's Poisson sampler accepts: int64 max less ten of its
 # square roots
 POISSON_MAX_MEAN = (np.iinfo(np.int64).max
@@ -115,23 +131,37 @@ def _resolve_generator(rng) -> np.random.Generator:
     raise ParameterError("rng must be an RngState or numpy Generator")
 
 
+def draw_route(model: NoiseModel, p, t: float) -> str:
+    """How a draw of T under bin probabilities p goes: "photons" for a
+    Poisson draw whose expected photons per record, eta t sum(p), are at
+    most PHOTONS_PER_BIN times the number of bins with p > 0, "records"
+    otherwise. It reads the query alone, so a seeded draw is reproducible
+    whatever the machine."""
+    lam = model.thinning * t * np.asarray(p, dtype=float).ravel()
+    if model.kind == "poisson" and \
+            lam.sum() <= PHOTONS_PER_BIN * np.count_nonzero(lam):
+        return "photons"
+    return "records"
+
+
 def sample_observations(model: NoiseModel, p, t: float, rng,
                         reps: int | None = None,
-                        reduce: Callable | None = None) -> np.ndarray:
+                        a: np.ndarray | None = None) -> np.ndarray:
     """Draw one observation vector (or a reps-by-n matrix) for bin
-    probabilities p under the given model.
+    probabilities p under the given model, or with coefficients ``a`` the
+    sums sum_i a_i Y_i of reps such records.
 
     Deterministic given the RngState: repeated calls with the same state
-    return the same draws. Both modes draw the rows into one reused
-    buffer, a chunk of about SAMPLE_CHUNK_VALUES variates, so a Poisson
-    draw needs one chunk of integer counts as its only temporary. The
-    generator fills the rows in order, so the result equals a single
-    full-size draw.
+    return the same draws. Records are drawn in row chunks of about
+    SAMPLE_CHUNK_VALUES variates into one reused buffer, so a Poisson draw
+    needs one chunk of integer counts as its only temporary. The generator
+    fills the rows in order, so the result equals a single full-size draw.
 
-    Without ``reduce``, each chunk is copied into the records. With
-    ``reduce``, each chunk is handed to ``reduce``, which maps it to one
-    value per row; the result is the vector of those values (length
-    reps), and the draw never holds more than one chunk of records.
+    Without ``a``, each chunk is copied into the records. With ``a``, the
+    result has length reps and ``draw_route`` picks how it is drawn: on the
+    records route each chunk is summed row by row (``_bin_sum``) before
+    the next is drawn; on the photons route (``_photon_sums``) the records
+    are never formed and T sums a over each record's photons.
     """
     _check_t(t)
     p = np.asarray(p, dtype=float)
@@ -147,10 +177,12 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
                 f"{POISSON_MAX_MEAN:.3g}, the largest that can be sampled")
     elif np.any(lam < 0.0):
         raise ModelAssumptionError("bin intensities must be >= 0")
-    shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
     rows = 1 if reps is None else reps
+    if a is not None and draw_route(model, p, t) == "photons":
+        return _photon_sums(gen, lam, rows, a)
+    shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
     step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
-    out = np.empty((rows, lam.size) if reduce is None else rows)
+    out = np.empty((rows, lam.size) if a is None else rows)
     buffer = np.empty((min(step, rows), lam.size))
     for first in range(0, rows, step):
         block = buffer[:min(step, rows - first)]
@@ -159,9 +191,94 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
         else:
             gen.standard_normal(out=block)
             block += shift
-        out[first:first + len(block)] = (block if reduce is None
-                                         else reduce(block))
-    return out.reshape(p.shape) if reps is None and reduce is None else out
+        out[first:first + len(block)] = (block if a is None
+                                         else _bin_sum(block, a))
+    return out.reshape(p.shape) if reps is None and a is None else out
+
+
+def _alias_table(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table for bin k with probability lam_k / sum(lam):
+    a uniform cell k of n keeps its own bin with probability prob[k] and
+    goes to bin alias[k] otherwise.
+
+    Vose's pairing, a whole round at a time: every bin short of the mean
+    takes its shortfall from the bin above the mean whose cumulative
+    surplus covers the start of that shortfall. A donor pushed below the
+    mean is short in the next round, so each round settles every short bin
+    and the loop ends.
+    """
+    n = lam.size
+    q = lam * (n / lam.sum())
+    prob = np.ones(n)
+    alias = np.arange(n)
+    short = np.flatnonzero(q < 1.0)
+    tall = np.flatnonzero(q >= 1.0)
+    while short.size and tall.size:
+        need = 1.0 - q[short]
+        donor = np.searchsorted(np.cumsum(q[tall] - 1.0),
+                                np.cumsum(need) - need, "right")
+        donor = np.minimum(donor, tall.size - 1)
+        prob[short] = q[short]
+        alias[short] = tall[donor]
+        q[tall] -= np.bincount(donor, need, minlength=tall.size)
+        below = q[tall] < 1.0
+        short, tall = tall[below], tall[~below]
+    return prob, alias
+
+
+def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
+                 a: np.ndarray) -> np.ndarray:
+    """sum_i a_i Y_i for reps records of independent counts
+    Y_i ~ Poi(lam_i), drawn photon by photon.
+
+    Each record's photon total N ~ Poi(sum lam) is drawn first, for all
+    records; then each photon gets a bin k with probability
+    lam_k / sum(lam) from one uniform u, cell k = floor(n u) of the alias
+    table kept when the fraction n u - k is below prob[k]. The photons are
+    drawn in chunks of at most SAMPLE_CHUNK_VALUES (a record of more
+    photons is a chunk of its own) that never split a record, and each
+    record's sum is one segment of ``np.add.reduceat``, so the values do
+    not depend on the chunk size. A record without photons has sum 0.
+    """
+    n = lam.size
+    prob, alias = _alias_table(lam)
+    # one gather reads a photon's coefficient:
+    # coeff[2k] = a[alias[k]], coeff[2k + 1] = a[k]
+    coeff = np.column_stack((a[alias], a)).ravel()
+    mean = lam.sum()
+    counts = gen.poisson(mean, size=reps)
+    # a record's sum overwrites its count once its photons are summed
+    out = counts.view(np.float64)
+    # one set of chunk buffers, reused: the loop allocates no photon array
+    size = max(SAMPLE_CHUNK_VALUES, int(counts.max()))
+    uniform, value = np.empty(size), np.empty(size)
+    cell, kept = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    width = max(1, int(SAMPLE_CHUNK_VALUES / max(1.0, mean)))
+    first = 0
+    while first < reps:
+        ends = np.cumsum(counts[first:first + width])
+        rows = max(1, int(np.searchsorted(ends, SAMPLE_CHUNK_VALUES,
+                                          "right")))
+        ends = ends[:rows]
+        held = counts[first:first + rows]
+        filled = held > 0
+        starts = (ends - held)[filled]
+        photons = int(ends[-1])
+        u = gen.random(out=uniform[:photons])
+        u *= n  # n times a uniform on [0, 1), so floor(u) < n
+        k = cell[:photons]
+        np.copyto(k, u, casting="unsafe")
+        np.take(prob, k, out=value[:photons])
+        u -= k
+        np.less(u, value[:photons], out=kept[:photons])
+        k <<= 1
+        k += kept[:photons]
+        np.take(coeff, k, out=value[:photons])
+        sums = out[first:first + rows]
+        sums[...] = 0.0
+        sums[filled] = np.add.reduceat(value[:photons], starts)
+        first += rows
+    return out
 
 
 def _poisson_bins(probs: BinProbabilities) -> BinProbabilities:
@@ -321,21 +438,24 @@ def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
     """T for reps records drawn under the null (side 0) or the alternative
     (side 1) from the substream ``rng.generator(*key, side)``.
 
-    One ``sample_observations`` call draws the records chunk by chunk and
-    reduces each chunk to T with ``lrt_statistic`` before the next is
-    drawn, so the draw holds one chunk of at most SAMPLE_CHUNK_VALUES
-    variates plus the reps values of T, whatever reps is. Since
-    ``lrt_statistic`` sums each row on its own, the values equal T of the
-    full reps-by-n draw bit for bit, at any BLAS thread count.
+    One ``sample_observations`` call draws sum_i a_i Y_i for the
+    coefficients a of T (``_statistic_terms``), and T subtracts
+    sum_i a_i c_i from it, so the draw holds one chunk of at most
+    SAMPLE_CHUNK_VALUES variates or photons plus the reps values of T,
+    whatever reps is. On the records route the values equal
+    ``lrt_statistic`` of the full reps-by-n draw bit for bit, at any BLAS
+    thread count; on the photons route (Poisson only, see ``draw_route``)
+    no record is formed, and the values do not depend on the chunk size.
     """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
     if model.kind == "poisson":
         probs = _poisson_bins(probs)
-    return sample_observations(
-        model, probs.p1 if side else probs.p0, t,
-        rng.generator(*key, side), reps=reps,
-        reduce=lambda block: lrt_statistic(model, probs, t, block))
+    a, centre = _statistic_terms(model, probs, t)
+    stats = sample_observations(model, probs.p1 if side else probs.p0, t,
+                                rng.generator(*key, side), reps=reps, a=a)
+    stats -= _bin_sum(centre, a)
+    return stats
 
 
 def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,

@@ -36,8 +36,8 @@ from .binning import (bin_curvature_integrals, bin_information_sum,
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, analytic_report, draw_statistic,
-                     mc_threshold)
+from .models import (NoiseModel, RngState, analytic_report, draw_route,
+                     draw_statistic, mc_threshold)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -265,23 +265,30 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     by (phase, iteration, side): phase 0 holds the start and the outward
     steps, phase 1 the bisection. The result is deterministic given the
     RngState and independent of threading. Diagnostics record the start
-    d_a and the trajectory of (d, beta_hat) per probe, whose length is
-    1 + expansions + iterations. The null bins are integrated once, for
-    the analytic start and every draw alike.
+    d_a, the trajectory of (d, beta_hat) per probe, whose length is
+    1 + expansions + iterations, and as "draw" the route of the draws
+    (``models.draw_route``): "photons", "records", or "photons+records"
+    when the probes' profiles fall on both sides of the crossover. The
+    null bins are integrated once, for the analytic start and every draw
+    alike.
     """
     rng = rng or RngState()
     band_lo = 0.95 * query.beta
     band_hi = 1.05 * query.beta
     trajectory: list[tuple[float, float]] = []
+    routes: set[str] = set()
     model, t = query.model, query.t
+
+    def draw(probs, side: int, key: tuple) -> np.ndarray:
+        routes.add(draw_route(model, probs.p1 if side else probs.p0, t))
+        return draw_statistic(model, probs, t, side, reps, rng, key)
 
     def type2(d: float, phase: int, iteration: int) -> float:
         probs = profiles(d)
         threshold = mc_threshold(
             model, probs, t, query.alpha, threshold_mode,
-            lambda: draw_statistic(model, probs, t, 0, reps, rng,
-                                   (phase, iteration)))
-        t1 = draw_statistic(model, probs, t, 1, reps, rng, (phase, iteration))
+            lambda: draw(probs, 0, (phase, iteration)))
+        t1 = draw(probs, 1, (phase, iteration))
         beta_hat = float(np.mean(t1 <= threshold))
         trajectory.append((d, beta_hat))
         return beta_hat
@@ -335,7 +342,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             "beta_hat": beta_hat, "band": (band_lo, band_hi),
             "mc_se": math.sqrt(beta_hat * (1.0 - beta_hat) / reps),
             "converged": converged, "threshold_mode": threshold_mode,
-            "reps": reps, "start": start, "trajectory": trajectory}
+            "reps": reps, "start": start, "trajectory": trajectory,
+            "draw": "+".join(sorted(routes))}
     return _checked_result(d, "monte_carlo", diag)
 
 

@@ -134,6 +134,8 @@ def test_resolve_mc_reports_its_start(capsys):
     assert 0.0 < float(meta["start"]) < 1.0
     for key in ("converged", "iterations", "expansions"):
         assert key in meta
+    # the draw route stays in the library's diagnostics
+    assert "draw" not in meta
 
 
 def test_default_mc_resolve_stays_inside_the_window(capsys):

@@ -122,25 +122,124 @@ def test_chunked_draw_equals_one_shot_draw(kind, monkeypatch):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("chunk, n, reps", [
     (64, 20, 101),              # 3 rows a chunk, a last chunk of 2 rows
-    (models.SAMPLE_CHUNK_VALUES, 1000, 2500),  # 1048, 1048 and 404 rows
+    (models.SAMPLE_CHUNK_VALUES, 1000, 2500),  # 38 chunks of 65, one of 30
+    (1 << 20, 1000, 2500),      # 1048, 1048 and 404 rows
 ])
 def test_chunked_draw_statistic_equals_full_draw(kind, chunk, n, reps,
                                                  monkeypatch):
     # T reduced chunk by chunk is T of the whole record matrix, bit for
-    # bit, in either memory order
+    # bit, in either memory order; only the records route forms records,
+    # so the poisson query expects 10 photons per bin, above the crossover
     monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", chunk)
     probs = make_probs(n=n, gamma=0.5)
     model = NoiseModel(kind, thinning=0.9)
+    t = 10.0 * n if kind == "poisson" else 30.0
     for side in (0, 1):
-        got = draw_statistic(model, probs, 30.0, side, reps, RngState(seed=6))
-        records = sample_observations(model, probs.p1 if side else probs.p0,
-                                      30.0, RngState(seed=6).generator(side),
+        p = probs.p1 if side else probs.p0
+        assert models.draw_route(model, p, t) == "records"
+        got = draw_statistic(model, probs, t, side, reps, RngState(seed=6))
+        records = sample_observations(model, p, t,
+                                      RngState(seed=6).generator(side),
                                       reps=reps)
         assert got.shape == (reps,)
         for order in ("C", "F"):
-            want = lrt_statistic(model, probs, 30.0,
+            want = lrt_statistic(model, probs, t,
                                  np.asarray(records, order=order))
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lam", [
+    np.array([5.0]),
+    np.array([1.0, 1.0, 1.0]),
+    np.array([1e-300, 2.0, 1e-9, 0.5]),
+    np.random.default_rng(3).pareto(1.0, 5000) + 1e-12,
+    1.0 + 1e-9 * np.random.default_rng(4).standard_normal(4000),
+])
+def test_alias_table_gives_each_bin_its_probability(lam):
+    # a uniform cell keeps its own bin with probability prob and otherwise
+    # goes to its alias: the masses add up to lam / sum(lam)
+    prob, alias = models._alias_table(lam)
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    assert np.all((alias >= 0) & (alias < lam.size))
+    n = lam.size
+    masses = (prob + np.bincount(alias, 1.0 - prob, minlength=n)) / n
+    want = lam / lam.sum()
+    assert_allclose(masses, want, rtol=1e-10, atol=1e-13 * want.max())
+
+
+def _photon_oracle(lam, a, reps, gen):
+    # one shot: every count, then every photon's uniform, read through the
+    # alias table without the interleaved coefficients
+    prob, alias = models._alias_table(lam)
+    counts = gen.poisson(lam.sum(), size=reps)
+    x = gen.random(int(counts.sum())) * lam.size
+    cell = np.floor(x).astype(np.intp)
+    bins = np.where(x - cell < prob[cell], cell, alias[cell])
+    ends = np.cumsum(counts)
+    filled = counts > 0
+    sums = np.zeros(reps)
+    sums[filled] = np.add.reduceat(a[bins], (ends - counts)[filled])
+    return sums, counts
+
+
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_photon_draw_equals_a_one_shot_draw(t, monkeypatch):
+    # bit for bit at a chunk of 64 photons and at the default: the chunks
+    # never split a record, and a record without photons (common at t = 1)
+    # has T = 0 exactly
+    probs = make_probs(gamma=0.5)
+    model = NoiseModel("poisson")
+    reps = 500
+    a = np.log(probs.p1 / probs.p0)
+    for side in (0, 1):
+        p = probs.p1 if side else probs.p0
+        assert models.draw_route(model, p, t) == "photons"
+        want, counts = _photon_oracle(t * p, a, reps,
+                                      RngState(seed=8).generator(side))
+        got = draw_statistic(model, probs, t, side, reps, RngState(seed=8))
+        monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
+        small = draw_statistic(model, probs, t, side, reps, RngState(seed=8))
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        assert np.array_equal(small, want)
+        if t == 1.0:
+            assert 50 < np.count_nonzero(counts == 0) < reps
+            assert np.all(got[counts == 0] == 0.0)
+            assert np.all(got[counts > 0] != 0.0)
+
+
+@pytest.mark.parametrize("n, t, reps", [
+    (20, 20.0, 40000), (1000, 100.0, 20000), (10000, 1000.0, 4000)])
+def test_photon_draw_moments_match_statistic_moments(n, t, reps):
+    probs = make_probs(n=n, d=0.15, gamma=0.2)
+    model = NoiseModel("poisson", thinning=0.8)
+    moments = statistic_moments(model, probs, t)
+    for side in (0, 1):
+        mean, var = moments[2 * side], moments[2 * side + 1]
+        assert models.draw_route(model, probs.p1 if side else probs.p0,
+                                 t) == "photons"
+        stats = draw_statistic(model, probs, t, side, reps, RngState(seed=7))
+        centered = stats - stats.mean()
+        var_se = math.sqrt(np.mean(centered ** 4) - var ** 2) / math.sqrt(reps)
+        assert abs(stats.mean() - mean) < 4.0 * math.sqrt(var / reps)
+        assert abs(stats.var() - var) < 4.0 * var_se
+
+
+def test_draw_route_reads_the_expected_photons_and_the_bins():
+    # photons while eta t sum(p) <= PHOTONS_PER_BIN * n over the bins with
+    # p > 0; the same product and bin count give the same route
+    c = models.PHOTONS_PER_BIN
+    poisson = NoiseModel("poisson")
+    flat, ramp = np.full(10, 0.1), np.linspace(0.01, 0.19, 10)
+    thin = NoiseModel("poisson", thinning=0.25)
+    for p in (flat, ramp, np.append(ramp, [0.0, 0.0])):
+        for scale, route in ((0.99, "photons"), (1.01, "records")):
+            t = scale * c * 10.0
+            assert models.draw_route(poisson, p, t) == route
+            assert models.draw_route(thin, p, 4.0 * t) == route
+            assert models.draw_route(poisson, 2.0 * p, 0.5 * t) == route
+    for kind in ("hg", "vsg"):
+        assert models.draw_route(NoiseModel(kind), flat, 1.0) == "records"
 
 
 def _draw_peak_bytes(model, probs, reps):
@@ -201,6 +300,18 @@ def test_thinned_sampling_matches_scaled_time():
     full = sample_observations(NoiseModel("poisson"), probs.p0, 10.0,
                                RngState(seed=3), reps=100)
     assert np.array_equal(thin, full)
+
+
+def test_thinned_photon_draw_matches_scaled_time():
+    # the photons route sees eta and t only through eta t, as the records
+    # route does, so acceptance 8's thinning law holds bit for bit
+    probs = make_probs(gamma=0.2)
+    thin, full = NoiseModel("poisson", thinning=0.25), NoiseModel("poisson")
+    for side in (0, 1):
+        assert models.draw_route(thin, probs.p0, 80.0) == "photons"
+        assert np.array_equal(
+            draw_statistic(thin, probs, 80.0, side, 300, RngState(seed=3)),
+            draw_statistic(full, probs, 20.0, side, 300, RngState(seed=3)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -333,6 +333,19 @@ def test_mc_resolution_is_reproducible():
     assert first.diagnostics["beta_hat"] == second.diagnostics["beta_hat"]
 
 
+@pytest.mark.parametrize("kind, t, mode, route", [
+    ("poisson", 20.0, "analytic", "photons"),
+    ("poisson", 20.0, "h0-calibrated", "photons"),
+    ("poisson", 2000.0, "analytic", "records"),
+    ("vsg", 20.0, "analytic", "records"),
+])
+def test_mc_resolution_records_the_draw_route(kind, t, mode, route):
+    # 20 photons over 20 bins go by photons, 100 per bin by records
+    result = mc_resolution(make_query(kind, t=t, n=20), reps=500,
+                           rng=RngState(seed=1), threshold_mode=mode)
+    assert result.diagnostics["draw"] == route
+
+
 def test_mc_resolution_validation():
     query = make_query("poisson")
     with pytest.raises(ParameterError):
