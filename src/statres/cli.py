@@ -326,7 +326,8 @@ def cmd_resolve(opts: dict) -> tuple[list[dict], dict]:
         "substitution": substitution,
     }
     meta = {"substitution": substitution}
-    for key in ("note", "converged", "iterations", "expansions", "start"):
+    for key in ("note", "converged", "iterations", "expansions", "start",
+                "d_se"):
         if key in diag:
             meta[key] = diag[key]
     return [record], meta

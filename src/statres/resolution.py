@@ -10,8 +10,10 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
                              power,
 * ``mc_resolution``          a search on a Monte Carlo power estimate that
                              starts at the analytic critical separation
-                             and walks outward, then bisects, only when
-                             the simulation disagrees with it.
+                             and, only when the simulation disagrees with
+                             it, takes Newton steps on the closed-form
+                             power slope inside a bracket it bisects as a
+                             fallback.
 
 The closed-form routes share one small-d law, written out in ``_law``;
 each supplies only the kernel information it enters. The homogeneous
@@ -44,7 +46,6 @@ from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
 ROOT_GRID = 2.0 ** -40
 MC_MAX_ITERATIONS = 60
 MC_EXPANSION_FACTOR = 1.5
-MC_WALK_FACTOR = 1.05
 MC_WINDOW_MARGIN = 0.05
 MC_FWHM_CAP = 4.0
 
@@ -186,6 +187,13 @@ def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
     return gap
 
 
+def _power_slope(gap, d: float) -> float:
+    """The slope of the closed-form power at d: the central difference of
+    the gap over d (1 +- 1e-3). It costs two gap evaluations and no draw.
+    """
+    return (gap(d * 1.001) - gap(d * 0.999)) / (0.002 * d)
+
+
 def _power_root(gap, fwhm: float, cap: float) -> float | None:
     """First point of the grid k * ROOT_GRID, at most ``cap``, whose gap is
     >= 0, or None when the gap at the cap is < 0.
@@ -254,23 +262,29 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     closed-form power (exact for hg/vsg, CLT for poisson) reaches
     1 - beta; it is the answer whenever the estimated type-II rate
     beta_hat lands in the acceptance band [0.95 beta, 1.05 beta). Otherwise
-    the search walks outward from d_a in geometric steps x1.05, x1.05^2,
-    x1.05^4, ..., up while beta_hat stays above the band (capped by
-    4 FWHM and by keeping both sources inside (0.05, 0.95)) or down while
-    it stays below, until a probe lands in the band or the band is
-    bracketed; bisection of the bracket then stops in the band or after
-    60 iterations, with a ConvergenceWarning in the latter case.
+    each missed probe becomes the low end of a bracket if beta_hat lies
+    above the band, or its high end if below, and the next probe is the
+    Newton step d + (beta_hat - beta) / g'(d), with g' the slope of the
+    closed-form power (``_power_slope``): exact for hg/vsg, the CLT slope
+    for poisson, and no draw. The step is clamped to
+    [d / 1.5, min(1.5 d, cap)], where the cap is 4 FWHM and keeps both
+    sources inside (0.05, 0.95); a step that leaves the bracket is
+    replaced by its midpoint. A probe above the band at the cap raises
+    NoResolutionError. The search stops in the band, or after 60 probes
+    inside a closed bracket with a ConvergenceWarning.
 
     Each estimate draws reps observations from a fresh substream indexed
-    by (phase, iteration, side): phase 0 holds the start and the outward
-    steps, phase 1 the bisection. The result is deterministic given the
+    by (phase, probe, side): phase 0 holds the start and the probes made
+    before both bracket ends exist (``expansions``), phase 1 those made
+    after (``iterations``). The result is deterministic given the
     RngState and independent of threading. Diagnostics record the start
     d_a, the trajectory of (d, beta_hat) per probe, whose length is
-    1 + expansions + iterations, and as "draw" the route of the draws
-    (``models.draw_route``): "photons", "records", or "photons+records"
-    when the probes' profiles fall on both sides of the crossover. The
-    null bins are integrated once, for the analytic start and every draw
-    alike.
+    1 + expansions + iterations, the standard error ``mc_se`` of beta_hat
+    and ``d_se`` = mc_se / |g'(d)|, its error carried to the reported d,
+    and as "draw" the route of the draws (``models.draw_route``):
+    "photons", "records", or "photons+records" when the probes' profiles
+    fall on both sides of the crossover. The null bins are integrated
+    once, for the analytic start, the slopes and every draw alike.
     """
     rng = rng or RngState()
     band_lo = 0.95 * query.beta
@@ -283,12 +297,11 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         routes.add(draw_route(model, probs.p1 if side else probs.p0, t))
         return draw_statistic(model, probs, t, side, reps, rng, key)
 
-    def type2(d: float, phase: int, iteration: int) -> float:
+    def type2(d: float, key: tuple) -> float:
         probs = profiles(d)
-        threshold = mc_threshold(
-            model, probs, t, query.alpha, threshold_mode,
-            lambda: draw(probs, 0, (phase, iteration)))
-        t1 = draw(probs, 1, (phase, iteration))
+        threshold = mc_threshold(model, probs, t, query.alpha,
+                                 threshold_mode, lambda: draw(probs, 0, key))
+        t1 = draw(probs, 1, key)
         beta_hat = float(np.mean(t1 <= threshold))
         trajectory.append((d, beta_hat))
         return beta_hat
@@ -301,46 +314,54 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             "x0 leaves no room for two sources inside (0.05, 0.95)")
 
     profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
-    start = _power_root(_power_gap(query, profiles), fwhm, cap) or cap
+    gap = _power_gap(query, profiles)
+    start = _power_root(gap, fwhm, cap) or cap
     d = start
-    beta_hat = type2(d, 0, 0)
-    # walk outward until a probe lands in the band or the band is
-    # bracketed: beta_hat(lo) >= band_hi and beta_hat(hi) < band_lo
-    above = beta_hat >= band_hi
-    expansions, factor = 0, MC_WALK_FACTOR
-    while beta_hat >= band_hi if above else beta_hat < band_lo:
-        if above and d >= cap * (1.0 - 1e-12):
-            raise NoResolutionError(
-                f"type-II rate {beta_hat} stays above the band even "
-                f"at the separation cap {cap}")
-        last, d = d, min(factor * d, cap) if above else d / factor
-        lo, hi = sorted((last, d))
-        factor *= factor
-        expansions += 1
-        beta_hat = type2(d, 0, expansions)
-
+    beta_hat = type2(d, (0, 0))
+    # the band is bracketed by lo, whose beta_hat >= band_hi, and hi,
+    # whose beta_hat < band_lo; every probe lies strictly inside (lo, hi)
+    lo, hi = 0.0, math.inf
+    expansions = iterations = 0
     converged = band_lo <= beta_hat < band_hi
-    iterations = 0
-    while not converged and iterations < MC_MAX_ITERATIONS:
-        iterations += 1
-        d = 0.5 * (lo + hi)
-        beta_hat = type2(d, 1, iterations)
-        if band_lo <= beta_hat < band_hi:
-            converged = True
-        elif beta_hat >= band_hi:
+    while not converged:
+        if beta_hat >= band_hi:
+            if d >= cap * (1.0 - 1e-12):
+                raise NoResolutionError(
+                    f"type-II rate {beta_hat} stays above the band even "
+                    f"at the separation cap {cap}")
             lo = d
         else:
             hi = d
+        bracketed = 0.0 < lo and hi < math.inf
+        if bracketed and iterations == MC_MAX_ITERATIONS:
+            break
+        slope = _power_slope(gap, d)
+        step = ((beta_hat - query.beta) / slope if slope > 0.0
+                else math.copysign(math.inf, beta_hat - query.beta))
+        d = min(max(d + step, d / MC_EXPANSION_FACTOR),
+                MC_EXPANSION_FACTOR * d, cap)
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+        if bracketed:
+            iterations += 1
+            beta_hat = type2(d, (1, iterations))
+        else:
+            expansions += 1
+            beta_hat = type2(d, (0, expansions))
+        converged = band_lo <= beta_hat < band_hi
     if not converged:
         warnings.warn(
             f"Monte Carlo search did not reach the type-II band "
-            f"[{band_lo:g}, {band_hi:g}) in {MC_MAX_ITERATIONS} bisection "
+            f"[{band_lo:g}, {band_hi:g}) in {MC_MAX_ITERATIONS} bracketed "
             f"steps; reporting d = {d} with beta_hat = {beta_hat}",
             ConvergenceWarning, stacklevel=2)
 
+    mc_se = math.sqrt(beta_hat * (1.0 - beta_hat) / reps)
+    # a closed-form power flat at d (saturated at 1) places d nowhere
+    slope = abs(_power_slope(gap, d))
     diag = {"iterations": iterations, "expansions": expansions,
-            "beta_hat": beta_hat, "band": (band_lo, band_hi),
-            "mc_se": math.sqrt(beta_hat * (1.0 - beta_hat) / reps),
+            "beta_hat": beta_hat, "band": (band_lo, band_hi), "mc_se": mc_se,
+            "d_se": mc_se / slope if slope > 0.0 else math.inf,
             "converged": converged, "threshold_mode": threshold_mode,
             "reps": reps, "start": start, "trajectory": trajectory,
             "draw": "+".join(sorted(routes))}

@@ -318,6 +318,8 @@ def test_simulate_formula_sweep(capsys):
     assert float(meta["fit_hg_residual_rms"]) < 1e-12
 
 
+@pytest.mark.filterwarnings(
+    "error::statres.exceptions.ConvergenceWarning")
 def test_simulate_mc_sweep_small(capsys):
     argv = ["simulate", "--grid", "0.18,0.2,0.22", "--models", "vsg",
             "--reps", "300", "--seed", "1"]

@@ -279,9 +279,9 @@ def test_library_mc_and_exact_solves_show_a_warning_once():
 
 
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
-def test_mc_search_recovers_from_a_missed_first_probe(mode):
+def test_mc_search_steps_toward_the_band_inside_its_bracket(mode):
     # at reps = 200 the band half-width 0.005 is a quarter of a standard
-    # error, so the first probe usually misses and the search walks
+    # error, so the first probe usually misses and the search steps
     directions = set()
     for kind in ("poisson", "vsg"):
         query = make_query(kind, t=20.0, n=20)
@@ -296,15 +296,54 @@ def test_mc_search_recovers_from_a_missed_first_probe(mode):
             assert diag["converged"]
             band_lo, band_hi = diag["band"]
             assert band_lo <= diag["beta_hat"] < band_hi
-            # outward steps grow geometrically: x1.05, x1.05^2, x1.05^4
-            ds = [step[0] for step in trajectory[:1 + diag["expansions"]]]
-            for k in range(1, len(ds)):
-                ratio = ds[k] / ds[k - 1]
-                assert_allclose(max(ratio, 1.0 / ratio),
-                                1.05 ** (2 ** (k - 1)), rtol=1e-12)
-            if len(ds) > 1:
-                directions.add(ds[1] > ds[0])
+            # after a miss the next probe moves the way beta_hat - beta
+            # says and stays inside the bracket of the probes so far
+            lo, hi = 0.0, math.inf
+            for (d, beta_hat), (d_next, _) in zip(trajectory, trajectory[1:]):
+                assert not band_lo <= beta_hat < band_hi
+                if beta_hat >= band_hi:
+                    lo = d
+                else:
+                    hi = d
+                assert (d_next > d) == (beta_hat > query.beta)
+                assert lo < d_next < hi
+                directions.add(d_next > d)
     assert directions == {True, False}
+
+
+@pytest.mark.parametrize("mode, per_probe", [("analytic", 1),
+                                             ("h0-calibrated", 2)])
+def test_mc_search_draws_once_per_probe_and_side(monkeypatch, mode,
+                                                 per_probe):
+    # the Newton slope comes from the closed form, so a probe draws the
+    # alternative, plus the null only to calibrate its threshold
+    calls = []
+    original = resolution.draw_statistic
+    monkeypatch.setattr(resolution, "draw_statistic",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    longest = 0
+    for seed in range(4):
+        calls.clear()
+        result = mc_resolution(make_query("vsg", t=20.0, n=20), reps=200,
+                               rng=RngState(seed=seed), threshold_mode=mode)
+        diag = result.diagnostics
+        probes = len(diag["trajectory"])
+        assert probes == 1 + diag["expansions"] + diag["iterations"]
+        assert len(calls) == per_probe * probes
+        longest = max(longest, probes)
+    assert longest > 1
+
+
+def test_mc_d_se_bounds_the_spread_of_d():
+    # d_se is mc_se carried to d by the closed-form slope. The reported d
+    # spreads less, by about half over 100 seeds, because about half the
+    # solves stop at the exact analytic start their first probe confirms
+    query = make_query("vsg", t=20.0, n=20)
+    results = [mc_resolution(query, reps=1000, rng=RngState(seed=seed))
+               for seed in range(20)]
+    spread = float(np.std([r.d for r in results], ddof=1))
+    d_se = float(np.mean([r.diagnostics["d_se"] for r in results]))
+    assert spread < d_se < 3.0 * spread
 
 
 def test_mc_search_warns_when_bisection_runs_out(monkeypatch):
