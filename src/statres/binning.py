@@ -164,8 +164,10 @@ def bin_information_sum(psf: PsfModel, x0: float, n: int) -> float:
     integral of h''^2 / (h + background) over [0, 1].
 
     p0 is the null profile of a source at x0, pedestal included. A bin
-    without null mass (the underflowed tail of a narrow kernel) drops out,
-    as it does from the poisson statistic.
+    without null mass (the underflowed tail of a narrow kernel) drops out:
+    there (int_i h'')^2 / p0_i tends to 0 with p0_i, but reads 0/0 in
+    floats. The rule reads p0 alone, unlike the poisson statistic's
+    support, which reads both hypotheses (``models``).
     """
     curvature_bins = bin_curvature_integrals(psf, x0, n)
     null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0

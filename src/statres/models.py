@@ -19,7 +19,11 @@ null bin profile p0 against the alternative p1 is exactly normal,
 
 with m the model's separation measure (``hg_mu`` or ``vsg_nu``), so level
 and power have closed forms. The Poisson statistic sum(Y_i log(p1_i/p0_i))
-is treated by a central-limit report or by Monte Carlo.
+is treated by a central-limit report or by Monte Carlo. It sums over a
+support of bins: a bin enters where p0 > 0 and p1 > 0; a bin without mass
+under either hypothesis drops out while its photon mean eta t max(p0, p1)
+is below 2^-53, where the chance of any photon in it rounds away against
+1; any other such bin raises ModelAssumptionError.
 
 T = sum_i a_i (Y_i - c_i) is written once per model (``_statistic_terms``),
 and its moments and m = a.a / 2 come from the same a. Every sum over bins
@@ -281,18 +285,6 @@ def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
     return out
 
 
-def _poisson_bins(probs: BinProbabilities) -> BinProbabilities:
-    """The bins the Poisson LRT uses: a bin without mass under both
-    hypotheses drops out, one without mass under one of them raises."""
-    keep = (probs.p0 != 0.0) | (probs.p1 != 0.0)
-    p0, p1 = probs.p0[keep], probs.p1[keep]
-    if np.any(p0 <= 0.0) or np.any(p1 <= 0.0):
-        raise ModelAssumptionError(
-            "poisson likelihood ratio requires p0 and p1 to be both "
-            "positive or both zero in every bin")
-    return BinProbabilities(n=p0.size, p0=p0, p1=p1)
-
-
 def _bin_sum(y, a) -> np.ndarray:
     """sum_i y[..., i] a_i, row by row in numpy's einsum loop, not BLAS: a
     row's bits do not depend on the rows beside it or on the thread count.
@@ -303,21 +295,29 @@ def _bin_sum(y, a) -> np.ndarray:
 
 def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
     """Per-bin coefficients a and centre c of the LRT statistic
-    T = sum_i a_i (Y_i - c_i). For hg and vsg, a is the difference of the
-    two hypotheses' record means and c their midpoint. For poisson, c = 0
-    and a covers only the bins that ``_poisson_bins`` keeps."""
+    T = sum_i a_i (Y_i - c_i), and its support, the index of the bins that
+    a and c cover: every bin for hg and vsg, where a is the difference of
+    the two hypotheses' record means and c their midpoint; for poisson
+    (c = 0) the support rule of the module docstring, written only here."""
     tau = model.thinning * t
     p0, p1 = probs.p0, probs.p1
     if model.kind == "hg":
-        return tau * (p1 - p0), 0.5 * tau * (p0 + p1)
+        return tau * (p1 - p0), 0.5 * tau * (p0 + p1), slice(None)
     if model.kind == "vsg":
         if (np.minimum(p0, p1) < 0.0).any():
             raise ModelAssumptionError("vsg model requires p >= 0")
         root0, root1 = np.sqrt(p0), np.sqrt(p1)
         return (2.0 * math.sqrt(tau) * (root1 - root0),
-                math.sqrt(tau) * (root0 + root1))
-    kept = _poisson_bins(probs)
-    return np.log(kept.p1 / kept.p0), np.zeros(kept.n)
+                math.sqrt(tau) * (root0 + root1), slice(None))
+    support = (p0 > 0.0) & (p1 > 0.0)
+    drop = ((np.minimum(p0, p1) == 0.0)
+            & (tau * np.maximum(p0, p1) < np.finfo(float).eps / 2))
+    if not (support | drop).all():
+        raise ModelAssumptionError(
+            "poisson likelihood ratio requires p0 and p1 to be both "
+            "positive in every bin of photon mean 2^-53 or more")
+    a = np.log(p1[support] / p0[support])
+    return a, np.zeros(a.size), support
 
 
 def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
@@ -327,15 +327,12 @@ def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
     matrix with one observation per row (returns a vector). Each row is
     summed on its own (``_bin_sum``), so T of a record is the same bits
     whether it is reduced alone, in a draw's chunk or in a whole record
-    matrix of either memory order. A Poisson bin without mass under both
-    hypotheses is dropped from y before the sum.
+    matrix of either memory order. A Poisson bin outside T's support
+    (``_statistic_terms``) is dropped from y before the sum.
     """
     _check_t(t)
-    y = np.asarray(y, dtype=float)
-    if model.kind == "poisson":
-        mass = (probs.p0 != 0.0) | (probs.p1 != 0.0)
-        y = y if mass.all() else y[..., mass]
-    coeff, centre = _statistic_terms(model, probs, t)
+    coeff, centre, support = _statistic_terms(model, probs, t)
+    y = np.asarray(y, dtype=float)[..., support]
     stat = _bin_sum(y, coeff) - _bin_sum(centre, coeff)
     return float(stat) if stat.ndim == 0 else stat
 
@@ -359,7 +356,7 @@ def separation_measure(model: NoiseModel, probs: BinProbabilities,
         raise UnsupportedMethodError(
             "no closed-form separation measure for the poisson model; "
             "use poisson_clt_report or mc_error_rates")
-    a, _ = _statistic_terms(model, probs, t)
+    a, _, _ = _statistic_terms(model, probs, t)
     return 0.5 * float(_bin_sum(a, a))
 
 
@@ -377,10 +374,9 @@ def statistic_moments(model: NoiseModel, probs: BinProbabilities,
     if model.kind != "poisson":
         m = separation_measure(model, probs, t)
         return -m, 2.0 * m, m, 2.0 * m
-    a, _ = _statistic_terms(model, probs, t)
-    kept = _poisson_bins(probs)
-    return tuple(float(_bin_sum(w, model.thinning * t * p))
-                 for p in (kept.p0, kept.p1) for w in (a, a * a))
+    a, _, support = _statistic_terms(model, probs, t)
+    return tuple(float(_bin_sum(w, model.thinning * t * p[support]))
+                 for p in (probs.p0, probs.p1) for w in (a, a * a))
 
 
 def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
@@ -433,10 +429,11 @@ KS_BOUND = 0.03
 
 
 def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
-                   side: int, reps: int, rng: RngState,
-                   key: tuple = ()) -> np.ndarray:
+                   side: int, reps: int, rng: RngState, key: tuple = (),
+                   routes: set | None = None) -> np.ndarray:
     """T for reps records drawn under the null (side 0) or the alternative
-    (side 1) from the substream ``rng.generator(*key, side)``.
+    (side 1) from the substream ``rng.generator(*key, side)``, adding its
+    route (``draw_route`` of the side's bins on T's support) to ``routes``.
 
     One ``sample_observations`` call draws sum_i a_i Y_i for the
     coefficients a of T (``_statistic_terms``), and T subtracts
@@ -449,11 +446,12 @@ def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
     """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
-    if model.kind == "poisson":
-        probs = _poisson_bins(probs)
-    a, centre = _statistic_terms(model, probs, t)
-    stats = sample_observations(model, probs.p1 if side else probs.p0, t,
-                                rng.generator(*key, side), reps=reps, a=a)
+    a, centre, support = _statistic_terms(model, probs, t)
+    p = (probs.p1 if side else probs.p0)[support]
+    if routes is not None:
+        routes.add(draw_route(model, p, t))
+    stats = sample_observations(model, p, t, rng.generator(*key, side),
+                                reps=reps, a=a)
     stats -= _bin_sum(centre, a)
     return stats
 

@@ -38,8 +38,8 @@ from .binning import (bin_curvature_integrals, bin_information_sum,
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, analytic_report, draw_route,
-                     draw_statistic, mc_threshold)
+from .models import (NoiseModel, RngState, analytic_report, draw_statistic,
+                     mc_threshold)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -281,21 +281,31 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     d_a, the trajectory of (d, beta_hat) per probe, whose length is
     1 + expansions + iterations, the standard error ``mc_se`` of beta_hat
     and ``d_se`` = mc_se / |g'(d)|, its error carried to the reported d,
-    and as "draw" the route of the draws (``models.draw_route``):
+    and as "draw" the routes the draws took (``draw_statistic``):
     "photons", "records", or "photons+records" when the probes' profiles
     fall on both sides of the crossover. The null bins are integrated
-    once, for the analytic start, the slopes and every draw alike.
+    once, for the analytic start, the slopes and every draw alike. A band
+    that holds no multiple of 1/reps raises ParameterError before any
+    draw.
     """
     rng = rng or RngState()
     band_lo = 0.95 * query.beta
     band_hi = 1.05 * query.beta
+    # beta_hat is some k / reps; test the multiples next to the band's low
+    # end as the band test reads them
+    k = math.ceil(band_lo * reps)
+    if reps > 0 and not any(band_lo <= j / reps < band_hi
+                            for j in (k - 1, k, k + 1)):
+        raise ParameterError(
+            f"no multiple of 1/reps lies in the type-II band "
+            f"[{band_lo:g}, {band_hi:g}) at reps = {reps}, so the search "
+            f"cannot converge")
     trajectory: list[tuple[float, float]] = []
     routes: set[str] = set()
     model, t = query.model, query.t
 
     def draw(probs, side: int, key: tuple) -> np.ndarray:
-        routes.add(draw_route(model, probs.p1 if side else probs.p0, t))
-        return draw_statistic(model, probs, t, side, reps, rng, key)
+        return draw_statistic(model, probs, t, side, reps, rng, key, routes)
 
     def type2(d: float, key: tuple) -> float:
         probs = profiles(d)

@@ -406,10 +406,17 @@ def test_check_riemann_rejects_bad_bin_counts(capsys, entry):
     ["resolve", "--psf", "gaussian:0.002", "--x0", "0.3"],
     ["scan", "--kind", "weight", "--psf", "gaussian:0.01", "--x0", "0.3"],
     ["check", "--riemann", "--psf", "gaussian:0.002", "--x0", "0.3"],
+    ["power", "--psf", "gaussian:0.005", "--d", "0.05"],
+    ["power", "--psf", "gaussian:0.005", "--d", "0.05", "--method", "mc",
+     "--reps", "1000"],
+    ["check", "--clt", "--psf", "gaussian:0.005", "--d", "0.05",
+     "--reps", "1000"],
 ])
 def test_narrow_kernel_bins_without_mass_drop_out(capsys, argv):
     # the far bins of a narrow kernel underflow to p0 = p1 = 0, and off
-    # the centre the information integrand h''^2 / h reads 0/0 there
+    # the centre the information integrand h''^2 / h reads 0/0 there; at
+    # sigma 0.005 a tail bin keeps about 1e-320 under one hypothesis and 0
+    # under the other, and drops out of the poisson statistic too
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, argv)
@@ -478,6 +485,25 @@ def test_finite_n_kernel_without_curvature_in_any_bin_exits_3(capsys, model):
                                   "--psf", "gaussian:0.00001"])
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_mc_narrow_kernel_without_resolution_exits_3(capsys):
+    # at 4 FWHM both hypotheses put their photons into the same two bins,
+    # so the type-II rate stays far above the band at the separation cap
+    code, out, err = run(capsys, ["resolve", "--psf", "gaussian:0.005",
+                                  "--method", "mc", "--reps", "1000"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: type-II rate ")
+
+
+def test_mc_band_without_a_reachable_rate_exits_2(capsys):
+    code, out, err = run(capsys, ["resolve", "--method", "mc", "--model",
+                                  "vsg", "--reps", "200", "--beta", "0.0427",
+                                  "--seed", "0"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no multiple of 1/reps")
 
 
 def test_exact_root_outside_the_window_exits_3(capsys):

@@ -367,11 +367,21 @@ def pad_with_empty_bins(probs, left=3, right=2):
                             p1=pad(probs.p1))
 
 
-def test_poisson_drops_bins_without_mass():
-    # a bin with p0 = p1 = 0 never records a photon: the report, the
-    # Monte Carlo draw and the statistic ignore it
-    probs = make_probs(d=0.12, gamma=0.2)
-    padded = pad_with_empty_bins(probs)
+def pad_with_one_sided_bins(probs, mass, left=3, right=2):
+    """The same profile with bins of the given mass under one hypothesis
+    and none under the other: the null's on the left, the alternative's
+    on the right."""
+    def pad(p, null):
+        ends = (np.full(left, mass) if null else np.zeros(left),
+                np.zeros(right) if null else np.full(right, mass))
+        return np.concatenate([ends[0], p, ends[1]])
+    return BinProbabilities(n=probs.n + left + right, p0=pad(probs.p0, True),
+                            p1=pad(probs.p1, False))
+
+
+def assert_padding_changes_nothing(probs, padded, left=3, right=2):
+    # the closed-form report, the Monte Carlo draw in both threshold modes
+    # and the statistic of zero-padded records equal the unpadded ones
     model = NoiseModel("poisson")
     assert poisson_clt_report(padded, 20.0, 0.1) == \
         poisson_clt_report(probs, 20.0, 0.1)
@@ -384,8 +394,47 @@ def test_poisson_drops_bins_without_mass():
     y = sample_observations(model, probs.p1, 20.0, RngState(seed=5), reps=4)
     assert np.array_equal(
         lrt_statistic(model, padded, 20.0,
-                      np.pad(y, ((0, 0), (3, 2)))),
+                      np.pad(y, ((0, 0), (left, right)))),
         lrt_statistic(model, probs, 20.0, y))
+
+
+def test_poisson_drops_bins_without_mass():
+    # a bin with p0 = p1 = 0 never records a photon: the report, the
+    # Monte Carlo draw and the statistic ignore it
+    probs = make_probs(d=0.12, gamma=0.2)
+    assert_padding_changes_nothing(probs, pad_with_empty_bins(probs))
+
+
+def test_poisson_drops_underflowed_one_sided_bins():
+    # a bin of photon mean 20 * 1e-301 under one hypothesis and 0 under
+    # the other records a photon with a chance that rounds away against 1,
+    # so it leaves T as if it had no mass at all
+    probs = make_probs(d=0.12, gamma=0.2)
+    assert_padding_changes_nothing(probs,
+                                   pad_with_one_sided_bins(probs, 1e-301))
+
+
+def test_poisson_one_sided_bin_drops_out_below_photon_mean_two_to_minus_53():
+    # eta t = 16 scales the mass exactly; at photon mean 2^-53 the bin can
+    # still record a photon and makes T infinite, one ulp below it cannot
+    probs = make_probs(d=0.12, gamma=0.2)
+    model = NoiseModel("poisson", thinning=0.5)
+    edge = 2.0 ** -53
+    y = np.pad(sample_observations(model, probs.p1, 32.0, RngState(seed=5)),
+               (3, 2))
+    for mean in (edge, 2.0 * edge, 1.0):
+        padded = pad_with_one_sided_bins(probs, mean / 16.0)
+        with pytest.raises(ModelAssumptionError):
+            statistic_moments(model, padded, 32.0)
+        with pytest.raises(ModelAssumptionError):
+            draw_statistic(model, padded, 32.0, 0, 100, RngState())
+        with pytest.raises(ModelAssumptionError):
+            lrt_statistic(model, padded, 32.0, y)
+    padded = pad_with_one_sided_bins(probs, np.nextafter(edge, 0.0) / 16.0)
+    assert statistic_moments(model, padded, 32.0) == \
+        statistic_moments(model, probs, 32.0)
+    assert lrt_statistic(model, padded, 32.0, y) == \
+        lrt_statistic(model, probs, 32.0, y[3:-2])
 
 
 def test_poisson_bin_without_mass_under_one_hypothesis_raises():
@@ -395,6 +444,16 @@ def test_poisson_bin_without_mass_under_one_hypothesis_raises():
         poisson_clt_report(probs, 20.0, 0.1)
     with pytest.raises(ModelAssumptionError):
         mc_error_rates(NoiseModel("poisson"), probs, 20.0, 0.1, reps=100)
+
+
+def test_poisson_bin_of_negative_mass_raises():
+    # a negative mass is not an underflow, however small its photon mean
+    probs = make_probs(d=0.12, gamma=0.2)
+    for p0, p1 in ((0.0, -1e-301), (-1e-301, -1e-301), (np.nan, 0.0)):
+        bad = BinProbabilities(n=probs.n + 1, p0=np.append(probs.p0, p0),
+                               p1=np.append(probs.p1, p1))
+        with pytest.raises(ModelAssumptionError):
+            poisson_clt_report(bad, 20.0, 0.1)
 
 
 @pytest.mark.parametrize("kind", ["hg", "vsg"])

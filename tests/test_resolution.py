@@ -385,6 +385,83 @@ def test_mc_resolution_records_the_draw_route(kind, t, mode, route):
     assert result.diagnostics["draw"] == route
 
 
+@pytest.mark.parametrize("t, route", [(20.0, "photons"), (70.0, "records")])
+def test_mc_resolution_drops_underflowed_one_sided_bins(t, route,
+                                                        monkeypatch):
+    # five bins of mass 1e-300 under the alternative alone leave the search
+    # as it was, bit for bit, and "draw" names the route drawn; at t = 70
+    # the alternative's five extra nonzero bins would tip a route read from
+    # the whole profile to photons
+    query = make_query("poisson", t=t, n=20)
+    plain = mc_resolution(query, reps=500, rng=RngState(seed=1))
+    unpadded = resolution.pair_profiles
+    padded_p1 = []
+
+    def padded_profiles(*args):
+        profiles = unpadded(*args)
+
+        def padded(d):
+            probs = profiles(d)
+            padded_p1.append(np.append(probs.p1, np.full(5, 1e-300)))
+            return binning.BinProbabilities(
+                n=probs.n + 5, p0=np.append(probs.p0, np.zeros(5)),
+                p1=padded_p1[-1])
+        return padded
+
+    photon_draws = []
+    photon_sums = models._photon_sums
+
+    def counted(*args):
+        photon_draws.append(args)
+        return photon_sums(*args)
+
+    monkeypatch.setattr(resolution, "pair_profiles", padded_profiles)
+    monkeypatch.setattr(models, "_photon_sums", counted)
+    result = mc_resolution(query, reps=500, rng=RngState(seed=1))
+    assert result == plain
+    assert result.diagnostics["draw"] == route
+    assert bool(photon_draws) == (route == "photons")
+    assert all(models.draw_route(query.model, p1, t) == "photons"
+               for p1 in padded_p1)
+
+
+def test_mc_resolution_rejects_a_band_without_a_reachable_rate(monkeypatch):
+    # at reps 200, beta_hat moves in steps of 0.005, and the band
+    # [0.040565, 0.044835) of beta 0.0427 holds none of them: no draw
+    draws = []
+    monkeypatch.setattr(resolution, "draw_statistic",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ParameterError, match="no multiple of 1/reps"):
+        mc_resolution(make_query("vsg", beta=0.0427), reps=200,
+                      rng=RngState(seed=0))
+    assert draws == []
+
+
+class Reached(Exception):
+    pass
+
+
+def test_mc_resolution_band_check_reads_the_band_as_the_band_test():
+    # the check passes a band exactly when some beta_hat = mean of a bool
+    # vector of reps entries lies in it, read by the band test itself; the
+    # betas include those whose band ends fall on a multiple of 1/reps
+    def refuse(*args):
+        raise Reached
+
+    for reps in (100, 137, 200, 1000):
+        rates = [float(np.mean(np.arange(reps) < k)) for k in range(reps + 1)]
+        edges = [r / f for r in rates for f in (0.95, 1.05)]
+        for beta in [*np.linspace(0.001, 0.499, 200),
+                     *(b for b in edges if 0.0 < b < 0.5)]:
+            band_lo, band_hi = 0.95 * beta, 1.05 * beta
+            reachable = any(band_lo <= r < band_hi for r in rates)
+            query = make_query("vsg", beta=float(beta))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(resolution, "pair_profiles", refuse)
+                with pytest.raises(Reached if reachable else ParameterError):
+                    mc_resolution(query, reps=reps)
+
+
 def test_mc_resolution_validation():
     query = make_query("poisson")
     with pytest.raises(ParameterError):
