@@ -611,6 +611,11 @@ def main(argv: list[str] | None = None) -> int:
     except StatresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # a size no allocation can hold, such as --reps 1e14: a parameter
+        # error, reported before anything reaches stdout
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: send what is left to devnull so that
         # the flush at exit cannot fail again (the Python docs' note on

@@ -15,6 +15,10 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
                              power slope inside a bracket it bisects as a
                              fallback.
 
+The two searches share one window, (0, w] with w the widest pair that
+keeps both sources inside (0, 1), decided in ``_search``: no resolution
+means that no pair inside it reaches power 1 - beta.
+
 The closed-form routes share one small-d law, written out in ``_law``;
 each supplies only the kernel information it enters. The homogeneous
 model resolves more slowly in eta t than the variance-stabilized model
@@ -26,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -46,8 +49,6 @@ from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
 ROOT_GRID = 2.0 ** -40
 MC_MAX_ITERATIONS = 60
 MC_EXPANSION_FACTOR = 1.5
-MC_WINDOW_MARGIN = 0.05
-MC_FWHM_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -165,32 +166,38 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
                            {"bin_sum": bin_sum})
 
 
-def _geometry_limit(x0: float, weight_q: float, margin: float = 0.0) -> float:
-    """Largest d keeping both sources inside (margin, 1 - margin)."""
-    return min((x0 - margin) / (1.0 - weight_q),
-               (1.0 - margin - x0) / weight_q)
+def _search(query: ResolutionQuery):
+    """The search window of the exact and Monte Carlo solves, and the root
+    of the closed-form power inside it.
 
-
-def _power_gap(query: ResolutionQuery, profiles) -> Callable[[float], float]:
-    """Closed-form power at separation d minus the target 1 - beta, for one
-    query: exact for hg/vsg, CLT for poisson.
-
-    ``profiles`` is the query's ``pair_profiles``, which integrated the
-    null bins once. The gap of every separation evaluated is cached.
+    The window is (0, w] with w = min(x0 / (1 - q), (1 - x0) / q)
+    (1 - 1e-9): the widest pair that keeps both sources inside (0, 1),
+    less the factor that keeps x1 > 0 at w itself. Returns the query's
+    ``pair_profiles``, which integrated the null bins once; the gap, its
+    closed-form power at d (exact for hg/vsg, CLT for poisson) minus the
+    target 1 - beta, which caches every separation it evaluates; w; and
+    ``_power_root`` of the gap on (0, w].
     """
+    q = query.weight_q
+    window = min(query.x0 / (1.0 - q), (1.0 - query.x0) / q) * (1.0 - 1e-9)
+    profiles = pair_profiles(query.psf, query.x0, q, query.n)
 
     @functools.cache
     def gap(d: float) -> float:
         return (analytic_report(query.model, profiles(d), query.t,
                                 query.alpha).power - (1.0 - query.beta))
 
-    return gap
+    return profiles, gap, window, _power_root(gap, psf_fwhm(query.psf),
+                                              window)
 
 
-def _power_slope(gap, d: float) -> float:
+def _power_slope(gap, d: float, window: float) -> float:
     """The slope of the closed-form power at d: the central difference of
     the gap over d (1 +- 1e-3). It costs two gap evaluations and no draw.
+    Within 0.1 % of the window's end w it is taken at w / 1.001, so that
+    both points stay inside the window.
     """
+    d = min(d, window / 1.001)
     return (gap(d * 1.001) - gap(d * 0.999)) / (0.002 * d)
 
 
@@ -233,18 +240,16 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
 
     Finds the d at which the level-alpha test has power exactly 1 - beta,
     the root of m(d) = (z_(1-alpha) + z_(1-beta))^2 / 2 with m the
-    model's separation measure, on the grid of ``_power_root``. Not
-    defined for poisson. Raises NoResolutionError when even the widest
-    pair the window admits falls short of that power.
+    model's separation measure, on the grid of ``_power_root`` inside the
+    search window (0, w] of ``_search``. Not defined for poisson. Raises
+    NoResolutionError when even the widest pair the window admits falls
+    short of that power.
     """
     if query.model.kind == "poisson":
         raise UnsupportedMethodError(
             "exact resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
-    hi = min(0.5, _geometry_limit(query.x0, query.weight_q)) * (1.0 - 1e-9)
-    profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
-    gap = _power_gap(query, profiles)
-    d = _power_root(gap, psf_fwhm(query.psf), hi)
+    _, gap, _, d = _search(query)
     if d is None:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
@@ -267,9 +272,10 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     Newton step d + (beta_hat - beta) / g'(d), with g' the slope of the
     closed-form power (``_power_slope``): exact for hg/vsg, the CLT slope
     for poisson, and no draw. The step is clamped to
-    [d / 1.5, min(1.5 d, cap)], where the cap is 4 FWHM and keeps both
-    sources inside (0.05, 0.95); a step that leaves the bracket is
-    replaced by its midpoint. A probe above the band at the cap raises
+    [d / 1.5, min(1.5 d, w)], with (0, w] the search window of
+    ``_search``, which the exact solve shares; a step that leaves the
+    bracket is replaced by its midpoint. Without an analytic root in the
+    window the search starts at w, and a probe above the band at w raises
     NoResolutionError. The search stops in the band, or after 60 probes
     inside a closed bracket with a ConvergenceWarning.
 
@@ -316,17 +322,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         trajectory.append((d, beta_hat))
         return beta_hat
 
-    fwhm = psf_fwhm(query.psf)
-    cap = min(MC_FWHM_CAP * fwhm,
-              _geometry_limit(query.x0, query.weight_q, MC_WINDOW_MARGIN))
-    if cap <= 0.0:
-        raise GeometryError(
-            "x0 leaves no room for two sources inside (0.05, 0.95)")
-
-    profiles = pair_profiles(query.psf, query.x0, query.weight_q, query.n)
-    gap = _power_gap(query, profiles)
-    start = _power_root(gap, fwhm, cap) or cap
-    d = start
+    profiles, gap, window, root = _search(query)
+    d = start = root or window
     beta_hat = type2(d, (0, 0))
     # the band is bracketed by lo, whose beta_hat >= band_hi, and hi,
     # whose beta_hat < band_lo; every probe lies strictly inside (lo, hi)
@@ -335,21 +332,21 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     converged = band_lo <= beta_hat < band_hi
     while not converged:
         if beta_hat >= band_hi:
-            if d >= cap * (1.0 - 1e-12):
+            if d >= window * (1.0 - 1e-12):
                 raise NoResolutionError(
                     f"type-II rate {beta_hat} stays above the band even "
-                    f"at the separation cap {cap}")
+                    f"at the widest separation in the window, {window}")
             lo = d
         else:
             hi = d
         bracketed = 0.0 < lo and hi < math.inf
         if bracketed and iterations == MC_MAX_ITERATIONS:
             break
-        slope = _power_slope(gap, d)
+        slope = _power_slope(gap, d, window)
         step = ((beta_hat - query.beta) / slope if slope > 0.0
                 else math.copysign(math.inf, beta_hat - query.beta))
         d = min(max(d + step, d / MC_EXPANSION_FACTOR),
-                MC_EXPANSION_FACTOR * d, cap)
+                MC_EXPANSION_FACTOR * d, window)
         if not lo < d < hi:
             d = 0.5 * (lo + hi)
         if bracketed:
@@ -368,7 +365,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
 
     mc_se = math.sqrt(beta_hat * (1.0 - beta_hat) / reps)
     # a closed-form power flat at d (saturated at 1) places d nowhere
-    slope = abs(_power_slope(gap, d))
+    slope = abs(_power_slope(gap, d, window))
     diag = {"iterations": iterations, "expansions": expansions,
             "beta_hat": beta_hat, "band": (band_lo, band_hi), "mc_se": mc_se,
             "d_se": mc_se / slope if slope > 0.0 else math.inf,

@@ -487,14 +487,45 @@ def test_finite_n_kernel_without_curvature_in_any_bin_exits_3(capsys, model):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_mc_narrow_kernel_without_resolution_exits_3(capsys):
-    # at 4 FWHM both hypotheses put their photons into the same two bins,
-    # so the type-II rate stays far above the band at the separation cap
-    code, out, err = run(capsys, ["resolve", "--psf", "gaussian:0.005",
+@pytest.mark.parametrize("model,psf", [
+    ("poisson", "gaussian:0.005"), ("vsg", "gaussian:0.005"),
+    ("hg", "gaussian:0.005"), ("poisson", "gaussian:0.002")])
+def test_mc_narrow_kernel_resolves_as_the_exact_solve(capsys, model, psf):
+    # the pair the exact solve finds spans many FWHM of a kernel narrower
+    # than a bin; the Monte Carlo search reaches it inside the same window
+    # (poisson's exact value is the vsg one)
+    code, out, err = run(capsys, ["resolve", "--model", model, "--psf", psf,
                                   "--method", "mc", "--reps", "1000"])
+    assert code == 0 and err == ""
+    d_mc = float(parse_csv(out)[2][0]["d"])
+    code, out, _ = run(capsys, ["resolve", "--model", model, "--psf", psf,
+                                "--method", "exact"])
+    assert code == 0
+    assert d_mc == pytest.approx(float(parse_csv(out)[2][0]["d"]), rel=0.05)
+
+
+def test_mc_pair_without_room_exits_3(capsys):
+    # at x0 = 0.03 the window ends at d = 0.06, where the type-II rate is
+    # still far above the band: no resolution, as for the exact solve
+    code, out, err = run(capsys, ["resolve", "--method", "mc", "--x0",
+                                  "0.03", "--reps", "1000"])
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: type-II rate ")
+
+
+# 1e14 elements of 8 bytes pass the 128 TiB address space, so each
+# allocation fails at once, whatever the kernel's overcommit setting
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--method", "mc", "--reps", "100000000000000"],
+    ["power", "--d", "0.1", "--method", "mc", "--reps", "100000000000000"],
+    ["check", "--clt", "--reps", "100000000000000"],
+    ["power", "--d", "0.1", "--n", "100000000000000"]])
+def test_size_beyond_memory_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: Unable to allocate ")
 
 
 def test_mc_band_without_a_reachable_rate_exits_2(capsys):

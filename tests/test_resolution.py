@@ -188,8 +188,8 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     with pytest.warns(Warning):
         with pytest.raises(NoResolutionError):
             exact_resolution(flat)
-    # no analytic crossing below the cap: the Monte Carlo search starts
-    # at the cap and gives up after its first draw
+    # no analytic crossing inside the window: the Monte Carlo search
+    # starts at the window's end and gives up after its first draw
     draws = []
     original = models.sample_observations
     monkeypatch.setattr(models, "sample_observations",
@@ -200,8 +200,13 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     assert len(draws) == 1
 
 
-def test_mc_resolution_starts_at_the_analytic_separation():
-    query = make_query("vsg", t=20.0, n=20)
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+@pytest.mark.parametrize("sigma,t", [(SIGMA_02, 20.0), (0.3, 100.0)],
+                         ids=["fwhm-0.2", "sigma-0.3"])
+def test_mc_resolution_starts_at_the_analytic_separation(sigma, t):
+    # at sigma = 0.3 the root lies past d = 0.5, inside the shared window
+    query = make_query("vsg", sigma=sigma, t=t, n=20)
     result = mc_resolution(query, reps=2000, rng=RngState(seed=0))
     diag = result.diagnostics
     # for vsg the analytic start is the exact solver's root
@@ -210,6 +215,27 @@ def test_mc_resolution_starts_at_the_analytic_separation():
     assert trajectory[0][0] == diag["start"]
     assert trajectory[-1] == (result.d, diag["beta_hat"])
     assert len(trajectory) == 1 + diag["expansions"] + diag["iterations"]
+
+
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+def test_both_solvers_give_up_past_the_window():
+    # at x0 = 0.03 no pair wider than 0.06 fits inside (0, 1)
+    query = make_query("vsg", t=20.0, x0=0.03)
+    with pytest.raises(NoResolutionError):
+        exact_resolution(query)
+    with pytest.raises(NoResolutionError, match="0.05999999994"):
+        mc_resolution(query, reps=200, rng=RngState())
+
+
+@pytest.mark.filterwarnings(
+    "ignore::statres.exceptions.MassTruncationWarning")
+def test_power_slope_stays_inside_the_window():
+    _, gap, window, _ = resolution._search(make_query("vsg", x0=0.03))
+    # at the window's end the slope is read at window / 1.001
+    slope = resolution._power_slope(gap, window, window)
+    assert slope == resolution._power_slope(gap, window / 1.001, window)
+    assert slope > 0.0
 
 
 def record_kernel_centers(monkeypatch):
