@@ -18,7 +18,6 @@ information sums, and integrates nothing itself.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,56 +96,98 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
     SourceConfig construction).
     """
     edges = bin_edges(n)
-    return _profiles(psf, src, n, edges, _kernel_bins(psf, src.x0, edges), 3)
+    null_bins = _kernel_bins(psf, src.x0, edges)
+    probs, pair_bins = _profiles(psf, src, n, edges, null_bins)
+    if _truncated(psf, null_bins, *pair_bins):
+        _warn_truncation(2)
+    return probs
 
 
-def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
-                  n: int) -> Callable[[float], BinProbabilities]:
+class _PairProfiles:
     """``bin_probabilities`` of the centered pair as a function of d.
 
     The null bins do not depend on d, so a search over d integrates them
-    once here; each call integrates the two alternative sources only. A
-    call warns as ``bin_probabilities`` does, the null mass included, but
-    at its own line, so a solve that calls it from two places warns once.
+    once, on construction; each call integrates the two alternative
+    sources only. A call warns when the null source is truncated, as
+    ``bin_probabilities`` does, but a pair that loses mass is only
+    recorded: a search probes pairs that it does not report, and
+    ``warn_truncation`` warns for the one it does. Every warning is issued
+    from one line, so a solve that calls the object from several places
+    warns once.
     """
-    edges = bin_edges(n)
-    null_bins = _kernel_bins(psf, x0, edges)
 
-    def probabilities(d: float) -> BinProbabilities:
-        src = SourceConfig(x0=x0, d=d, weight_q=weight_q)
-        return _profiles(psf, src, n, edges, null_bins, 2)
+    def __init__(self, psf: PsfModel, x0: float, weight_q: float, n: int):
+        self.psf, self.x0, self.weight_q, self.n = psf, x0, weight_q, n
+        self.edges = bin_edges(n)
+        self.null_bins = _kernel_bins(psf, x0, self.edges)
+        self.null_truncated = _truncated(psf, self.null_bins)
+        # separations whose pair keeps less than MASS_WARN_FRACTION inside
+        self.truncated: set[float] = set()
 
-    return probabilities
+    def __call__(self, d: float) -> BinProbabilities:
+        src = SourceConfig(x0=self.x0, d=d, weight_q=self.weight_q)
+        probs, pair_bins = _profiles(self.psf, src, self.n, self.edges,
+                                     self.null_bins)
+        if _truncated(self.psf, *pair_bins):
+            self.truncated.add(d)
+        if self.null_truncated:
+            self._warn()
+        return probs
+
+    def warn_truncation(self, d: float) -> None:
+        """Warn when the pair at d, a separation this object integrated,
+        or the null source keeps less than 99 percent of its mass."""
+        if self.null_truncated or d in self.truncated:
+            self._warn()
+
+    @staticmethod
+    def _warn() -> None:
+        _warn_truncation(1)
+
+
+def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
+                  n: int) -> _PairProfiles:
+    """``bin_probabilities`` of the centered pair as a function of d, with
+    the null bins integrated once (``_PairProfiles``)."""
+    return _PairProfiles(psf, x0, weight_q, n)
 
 
 def _profiles(psf: PsfModel, src: SourceConfig, n: int, edges: np.ndarray,
-              null_bins: np.ndarray, stacklevel: int) -> BinProbabilities:
-    """p0 and p1 given the null source's kernel bins.
-
-    The warning is attributed ``stacklevel`` frames up, counting this one.
+              null_bins: np.ndarray) -> tuple[BinProbabilities, list]:
+    """p0 and p1 given the null source's kernel bins, and the kernel bins
+    of the alternative's sources (none when they coincide with the null).
     """
     pedestal = psf.background / n
-    kernel_bins = [null_bins]
     p0 = null_bins + pedestal
+    pair_bins = []
 
     if src.d == 0.0 and src.offset_lambda == 0.0:
         # both alternative sources coincide with the null position
         p1 = p0.copy()
     else:
         q = src.weight_q
-        kernel_bins += [_kernel_bins(psf, src.x1, edges),
-                        _kernel_bins(psf, src.x2, edges)]
-        p1 = q * kernel_bins[1] + (1.0 - q) * kernel_bins[2] + pedestal
+        pair_bins = [_kernel_bins(psf, src.x1, edges),
+                     _kernel_bins(psf, src.x2, edges)]
+        p1 = q * pair_bins[0] + (1.0 - q) * pair_bins[1] + pedestal
 
-    # the bins tile [0, 1], so each kernel-bin sum is the mass inside it
+    return BinProbabilities(n=n, p0=p0, p1=p1), pair_bins
+
+
+def _truncated(psf: PsfModel, *kernel_bins: np.ndarray) -> bool:
+    """Whether a source keeps less than MASS_WARN_FRACTION of its kernel
+    mass inside [0, 1]: the bins tile [0, 1], so each kernel-bin sum is
+    the mass inside it."""
     floor = MASS_WARN_FRACTION * total_mass(psf)
-    if any(bins.sum() < floor for bins in kernel_bins):
-        warnings.warn(
-            "a source keeps less than 99 percent of its kernel mass "
-            "inside [0, 1]; bin probabilities are truncated",
-            MassTruncationWarning, stacklevel=stacklevel)
+    return any(bins.sum() < floor for bins in kernel_bins)
 
-    return BinProbabilities(n=n, p0=p0, p1=p1)
+
+def _warn_truncation(stacklevel: int) -> None:
+    """The truncation warning, attributed ``stacklevel`` frames up,
+    counting this one's caller as 1."""
+    warnings.warn(
+        "a source keeps less than 99 percent of its kernel mass "
+        "inside [0, 1]; bin probabilities are truncated",
+        MassTruncationWarning, stacklevel=stacklevel + 1)
 
 
 def bin_curvature_integrals(psf: PsfModel, x0: float, n: int) -> np.ndarray:

@@ -327,7 +327,7 @@ def cmd_resolve(opts: dict) -> tuple[list[dict], dict]:
     }
     meta = {"substitution": substitution}
     for key in ("note", "converged", "iterations", "expansions", "start",
-                "d_se"):
+                "start_law", "rho", "d_se"):
         if key in diag:
             meta[key] = diag[key]
     return [record], meta

@@ -30,6 +30,12 @@ and its moments and m = a.a / 2 come from the same a. Every sum over bins
 is a row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do
 not depend on the BLAS thread count.
 
+The Poisson T has cumulants K_j = sum_i lambda_i a_i^j, summed in one
+pass (``statistic_cumulants``): K_1 and K_2 give the CLT report, and with
+K_3 and K_4 they give T's two-term Edgeworth CDF (``edgeworth_cdf``) and
+its Cornish-Fisher quantile (``cornish_fisher_quantile``), which correct
+the normal law for T's skewness and kurtosis.
+
 A Monte Carlo draw (``draw_statistic``) goes one of two routes, chosen
 by ``draw_route`` from the query alone:
 
@@ -310,6 +316,9 @@ def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
         return (2.0 * math.sqrt(tau) * (root1 - root0),
                 math.sqrt(tau) * (root0 + root1), slice(None))
     support = (p0 > 0.0) & (p1 > 0.0)
+    if support.all():
+        a = np.log(p1 / p0)
+        return a, np.zeros(a.size), slice(None)
     drop = ((np.minimum(p0, p1) == 0.0)
             & (tau * np.maximum(p0, p1) < np.finfo(float).eps / 2))
     if not (support | drop).all():
@@ -369,14 +378,98 @@ def statistic_moments(model: NoiseModel, probs: BinProbabilities,
                       t: float) -> tuple[float, float, float, float]:
     """Mean and variance (e0, v0, e1, v1) of T under the null and the
     alternative: (-m, 2m, m, 2m) for hg and vsg with m the separation
-    measure, the exact moments of T = sum(Y_i a_i) for poisson."""
+    measure, the exact moments of T = sum(Y_i a_i) for poisson, read off
+    ``statistic_cumulants``."""
     _check_t(t)
     if model.kind != "poisson":
         m = separation_measure(model, probs, t)
         return -m, 2.0 * m, m, 2.0 * m
+    (e0, v0, _, _), (e1, v1, _, _) = \
+        statistic_cumulants(model, probs, t)[0].tolist()
+    return e0, v0, e1, v1
+
+
+def statistic_cumulants(model: NoiseModel, probs: BinProbabilities,
+                        t: float) -> tuple[np.ndarray, float]:
+    """The first four cumulants K_1..K_4 of T under the null (row 0) and
+    the alternative (row 1), and T's Lyapunov ratio rho.
+
+    For poisson, T = sum_i a_i Y_i with Y_i ~ Poi(lambda_i) on T's
+    support, lambda_i = eta t p_i, has K_j = sum_i lambda_i a_i^j, and
+    rho = sum_i lambda_i |a_i|^3 / (sum_i lambda_i a_i^2)^(3/2), the
+    larger of its two sides (inf for T of zero variance), the
+    Berry-Esseen measure of how far T is from normal. One row-wise
+    ``_bin_sum`` per side sums the stacked powers of a, so K_1 and K_2
+    are the bits the CLT report has always used. hg and vsg have the
+    normal T of ``statistic_moments``: K_3 = K_4 = 0 and rho = 0.
+    """
+    if model.kind != "poisson":
+        e0, v0, e1, v1 = statistic_moments(model, probs, t)
+        return np.array([[e0, v0, 0.0, 0.0], [e1, v1, 0.0, 0.0]]), 0.0
+    _check_t(t)
     a, _, support = _statistic_terms(model, probs, t)
-    return tuple(float(_bin_sum(w, model.thinning * t * p[support]))
-                 for p in (probs.p0, probs.p1) for w in (a, a * a))
+    powers = np.empty((5, a.size))
+    powers[0] = a
+    np.multiply(a, a, out=powers[1])
+    np.multiply(powers[1], a, out=powers[2])
+    np.multiply(powers[1], powers[1], out=powers[3])
+    np.abs(powers[2], out=powers[4])
+    tau = model.thinning * t
+    sums = np.empty((2, 5))
+    for side, p in enumerate((probs.p0, probs.p1)):
+        sums[side] = _bin_sum(powers, tau * p[support])
+    rho = max(s[4] / s[1] ** 1.5 if s[1] > 0.0 else math.inf
+              for s in sums.tolist())
+    return sums[:, :4], rho
+
+
+def _edgeworth_terms(cumulants) -> tuple[float, float, float, float]:
+    """K_1, sqrt(K_2), the skewness K_3 / K_2^(3/2) and the excess
+    kurtosis K_4 / K_2^2 of T."""
+    k1, k2, k3, k4 = (float(k) for k in cumulants)
+    s = math.sqrt(k2)
+    return k1, s, k3 / (k2 * s), k4 / (k2 * k2)
+
+
+def edgeworth_cdf(cumulants, x: float) -> float:
+    """P(T <= x) by the two-term Edgeworth expansion of T from its
+    cumulants K_1..K_4 (Hall, The Bootstrap and Edgeworth Expansion,
+    1992, ch. 2):
+
+        Phi(z) - phi(z) [g1 He2(z) / 6 + g2 He3(z) / 24 + g1^2 He5(z) / 72]
+
+    with z = (x - K_1) / sqrt(K_2), g1 and g2 the skewness and excess
+    kurtosis, and He_k the Hermite polynomials z^2 - 1, z^3 - 3z and
+    z^5 - 10 z^3 + 15 z. T of zero variance is the point K_1.
+    """
+    if cumulants[1] == 0.0:
+        return float(x >= cumulants[0])
+    k1, s, g1, g2 = _edgeworth_terms(cumulants)
+    z = (x - k1) / s
+    z2 = z * z
+    terms = (g1 * (z2 - 1.0) / 6.0 + g2 * z * (z2 - 3.0) / 24.0
+             + g1 * g1 * z * (z2 * z2 - 10.0 * z2 + 15.0) / 72.0)
+    density = math.exp(-0.5 * z2) / math.sqrt(2.0 * math.pi)
+    return float(ndtr(z)) - density * terms
+
+
+def cornish_fisher_quantile(cumulants, prob: float) -> float:
+    """The prob quantile of T by the Cornish-Fisher expansion that
+    inverts ``edgeworth_cdf`` (Cornish & Fisher, 1938):
+    K_1 + sqrt(K_2) w with
+
+        w = z + g1 He2(z) / 6 + g2 He3(z) / 24 - g1^2 (2 z^3 - 5 z) / 36,
+
+    z = z_prob. T of zero variance is the point K_1.
+    """
+    if cumulants[1] == 0.0:
+        return float(cumulants[0])
+    k1, s, g1, g2 = _edgeworth_terms(cumulants)
+    z = float(ndtri(prob))
+    z2 = z * z
+    w = (z + g1 * (z2 - 1.0) / 6.0 + g2 * z * (z2 - 3.0) / 24.0
+         - g1 * g1 * z * (2.0 * z2 - 5.0) / 36.0)
+    return k1 + s * w
 
 
 def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,

@@ -17,7 +17,10 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
 
 The two searches share one window, (0, w] with w the widest pair that
 keeps both sources inside (0, 1), decided in ``_search``: no resolution
-means that no pair inside it reaches power 1 - beta.
+means that no pair inside it reaches power 1 - beta. ``_search`` also
+decides the Monte Carlo start: the exact root for hg and vsg, and for
+poisson the root of T's two-term Edgeworth power while T's Lyapunov
+ratio rho is at most EDGEWORTH_RHO_BOUND, else the CLT root.
 
 The closed-form routes share one small-d law, written out in ``_law``;
 each supplies only the kernel information it enters. The homogeneous
@@ -41,14 +44,21 @@ from .binning import (bin_curvature_integrals, bin_information_sum,
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, analytic_report, draw_statistic,
-                     mc_threshold)
+from .models import (NoiseModel, RngState, analytic_report,
+                     cornish_fisher_quantile, draw_statistic, edgeworth_cdf,
+                     mc_threshold, statistic_cumulants)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
 ROOT_GRID = 2.0 ** -40
 MC_MAX_ITERATIONS = 60
 MC_EXPANSION_FACTOR = 1.5
+# largest Lyapunov ratio rho of the Poisson T at the CLT start for which
+# the Monte Carlo search starts at the Edgeworth root. Nearer a lattice the
+# expansion misleads: unbounded, random-scan queries at rho 0.78 and above
+# went from 3 probes to 53-64; bounds of 0.5-0.75 kept every scan's worst
+# query at the CLT start's (BENCH_poisson_start.json, "bound_choice")
+EDGEWORTH_RHO_BOUND = 0.6
 
 
 @dataclass(frozen=True)
@@ -166,29 +176,67 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
                            {"bin_sum": bin_sum})
 
 
-def _search(query: ResolutionQuery):
-    """The search window of the exact and Monte Carlo solves, and the root
-    of the closed-form power inside it.
+def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
+    """The search window of the exact and Monte Carlo solves, the root of
+    the closed-form power inside it, and the Monte Carlo search's start.
 
     The window is (0, w] with w = min(x0 / (1 - q), (1 - x0) / q)
     (1 - 1e-9): the widest pair that keeps both sources inside (0, 1),
     less the factor that keeps x1 > 0 at w itself. Returns the query's
     ``pair_profiles``, which integrated the null bins once; the gap, its
     closed-form power at d (exact for hg/vsg, CLT for poisson) minus the
-    target 1 - beta, which caches every separation it evaluates; w; and
-    ``_power_root`` of the gap on (0, w].
+    target 1 - beta, which caches every separation it evaluates; w;
+    ``_power_root`` of the gap on (0, w]; and the Monte Carlo search's
+    start as diagnostics: "start", the law it came from, "start_law",
+    and for poisson "rho".
+
+    For hg and vsg the start is that root and its law "normal": T is
+    normal, so the closed form is exact. For poisson the CLT root misses
+    T's skewness, so the start is ``_power_root`` of T's two-term
+    Edgeworth power (``models.edgeworth_cdf``), bracketed from the CLT
+    root, at the threshold of ``threshold_mode``: the CLT threshold the
+    draws use in "analytic" mode, the Cornish-Fisher (1 - alpha) null
+    quantile in "h0-calibrated" mode. It applies ("edgeworth") only while
+    T's Lyapunov ratio rho at the CLT start, the CLT root or else w, is
+    at most EDGEWORTH_RHO_BOUND; otherwise, or when the Edgeworth power
+    has no root in the window or is not finite there, the start stays at
+    the CLT root ("clt"). Without any root the start is w.
     """
     q = query.weight_q
     window = min(query.x0 / (1.0 - q), (1.0 - query.x0) / q) * (1.0 - 1e-9)
     profiles = pair_profiles(query.psf, query.x0, q, query.n)
+    model, t = query.model, query.t
 
     @functools.cache
     def gap(d: float) -> float:
-        return (analytic_report(query.model, profiles(d), query.t,
-                                query.alpha).power - (1.0 - query.beta))
+        return (analytic_report(model, profiles(d), t, query.alpha).power
+                - (1.0 - query.beta))
 
-    return profiles, gap, window, _power_root(gap, psf_fwhm(query.psf),
-                                              window)
+    root = _power_root(gap, psf_fwhm(query.psf), window)
+    start = {"start": root or window, "start_law": "normal"}
+    if model.kind != "poisson":
+        return profiles, gap, window, root, start
+
+    @functools.cache
+    def cumulants(d: float):
+        return statistic_cumulants(model, profiles(d), t)
+
+    z = float(ndtri(1.0 - query.alpha))
+
+    def edgeworth_gap(d: float) -> float:
+        (null, alt), _ = cumulants(d)
+        threshold = (null[0] + z * math.sqrt(null[1])
+                     if threshold_mode == "analytic" else
+                     cornish_fisher_quantile(null, 1.0 - query.alpha))
+        return query.beta - edgeworth_cdf(alt, threshold)
+
+    rho = cumulants(start["start"])[1]
+    start.update(start_law="clt", rho=rho)
+    if rho <= EDGEWORTH_RHO_BOUND:
+        d = _power_root(edgeworth_gap, start["start"], window)
+        if d is not None and math.isfinite(edgeworth_gap(d)):
+            start.update(start=d, start_law="edgeworth")
+    return profiles, gap, window, root, start
 
 
 def _power_slope(gap, d: float, window: float) -> float:
@@ -201,20 +249,22 @@ def _power_slope(gap, d: float, window: float) -> float:
     return (gap(d * 1.001) - gap(d * 0.999)) / (0.002 * d)
 
 
-def _power_root(gap, fwhm: float, cap: float) -> float | None:
+def _power_root(gap, first: float, cap: float) -> float | None:
     """First point of the grid k * ROOT_GRID, at most ``cap``, whose gap is
     >= 0, or None when the gap at the cap is < 0.
 
-    The bracket grows from min(FWHM, cap) by MC_EXPANSION_FACTOR up to the
-    first end past the root. Illinois steps on k (Dowell & Jarratt, BIT
-    1971) close it: each probe is the grid point nearest the secant root,
-    strictly inside the bracket, and an end kept twice in a row has its
-    gap halved. The search ends at adjacent grid points, read by sign only,
-    so queries whose gaps differ only in the last bits (hg with and
-    without a background pedestal) give the same root.
+    The bracket grows from min(first, cap), the kernel's FWHM or a nearby
+    root, by MC_EXPANSION_FACTOR up to the first end past the root.
+    Illinois steps on k (Dowell & Jarratt, BIT 1971) close it: each probe
+    is the grid point nearest the secant root, strictly inside the
+    bracket, and an end kept twice in a row has its gap halved. The search
+    ends at adjacent grid points, read by sign only, so queries whose gaps
+    differ only in the last bits (hg with and without a background
+    pedestal) give the same root, and the root does not depend on where
+    the bracket started.
     """
     top = math.floor(cap / ROOT_GRID)
-    a, b = 0, min(max(1, math.ceil(fwhm / ROOT_GRID)), top)
+    a, b = 0, min(max(1, math.ceil(first / ROOT_GRID)), top)
     while gap(b * ROOT_GRID) < 0.0:
         if b == top:
             return None
@@ -243,17 +293,19 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
     model's separation measure, on the grid of ``_power_root`` inside the
     search window (0, w] of ``_search``. Not defined for poisson. Raises
     NoResolutionError when even the widest pair the window admits falls
-    short of that power.
+    short of that power. Warns of mass truncation for the root's pair or
+    the null alone, not for the wider pairs the bracket probes.
     """
     if query.model.kind == "poisson":
         raise UnsupportedMethodError(
             "exact resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
-    _, gap, _, d = _search(query)
+    profiles, gap, _, d, _ = _search(query)
     if d is None:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
+    profiles.warn_truncation(d)
     diag = {"iterations": gap.cache_info().currsize, "residual": gap(d)}
     return _checked_result(d, "exact", diag)
 
@@ -263,10 +315,14 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
                   threshold_mode: str = "analytic") -> ResolutionResult:
     """Search for the separation whose simulated type-II rate is beta.
 
-    The first draw is at the analytic critical separation d_a, where the
-    closed-form power (exact for hg/vsg, CLT for poisson) reaches
-    1 - beta; it is the answer whenever the estimated type-II rate
-    beta_hat lands in the acceptance band [0.95 beta, 1.05 beta). Otherwise
+    The first draw is at the analytic critical separation d_a of
+    ``_search``: for hg/vsg the root of the exact power ("normal"); for
+    poisson the root of T's two-term Edgeworth power at the threshold of
+    ``threshold_mode`` ("edgeworth") while T's Lyapunov ratio
+    rho = sum lambda |a|^3 / (sum lambda a^2)^(3/2) at the CLT root is at
+    most EDGEWORTH_RHO_BOUND, else the CLT root ("clt"). It is the answer
+    whenever the estimated type-II rate beta_hat lands in the acceptance
+    band [0.95 beta, 1.05 beta). Otherwise
     each missed probe becomes the low end of a bracket if beta_hat lies
     above the band, or its high end if below, and the next probe is the
     Newton step d + (beta_hat - beta) / g'(d), with g' the slope of the
@@ -284,15 +340,17 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     before both bracket ends exist (``expansions``), phase 1 those made
     after (``iterations``). The result is deterministic given the
     RngState and independent of threading. Diagnostics record the start
-    d_a, the trajectory of (d, beta_hat) per probe, whose length is
+    d_a, its law as "start_law" and for poisson "rho", the trajectory of
+    (d, beta_hat) per probe, whose length is
     1 + expansions + iterations, the standard error ``mc_se`` of beta_hat
     and ``d_se`` = mc_se / |g'(d)|, its error carried to the reported d,
     and as "draw" the routes the draws took (``draw_statistic``):
     "photons", "records", or "photons+records" when the probes' profiles
     fall on both sides of the crossover. The null bins are integrated
-    once, for the analytic start, the slopes and every draw alike. A band
-    that holds no multiple of 1/reps raises ParameterError before any
-    draw.
+    once, for the analytic start, the slopes and every draw alike. A
+    MassTruncationWarning is raised for the reported pair or the null
+    alone, not for the probes before it. A band that holds no multiple
+    of 1/reps raises ParameterError before any draw.
     """
     rng = rng or RngState()
     band_lo = 0.95 * query.beta
@@ -322,8 +380,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
         trajectory.append((d, beta_hat))
         return beta_hat
 
-    profiles, gap, window, root = _search(query)
-    d = start = root or window
+    profiles, gap, window, _, start = _search(query, threshold_mode)
+    d = start["start"]
     beta_hat = type2(d, (0, 0))
     # the band is bracketed by lo, whose beta_hat >= band_hi, and hi,
     # whose beta_hat < band_lo; every probe lies strictly inside (lo, hi)
@@ -370,8 +428,9 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             "beta_hat": beta_hat, "band": (band_lo, band_hi), "mc_se": mc_se,
             "d_se": mc_se / slope if slope > 0.0 else math.inf,
             "converged": converged, "threshold_mode": threshold_mode,
-            "reps": reps, "start": start, "trajectory": trajectory,
+            "reps": reps, **start, "trajectory": trajectory,
             "draw": "+".join(sorted(routes))}
+    profiles.warn_truncation(d)
     return _checked_result(d, "monte_carlo", diag)
 
 

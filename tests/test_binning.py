@@ -247,6 +247,21 @@ def test_pair_profiles_equal_bin_probabilities_bitwise(psf):
         assert np.array_equal(got.p1, want.p1)
 
 
+def test_pair_profiles_warn_only_for_the_reported_pair(recwarn):
+    # the null at 0.2 keeps its mass, the pair 0.2 wide does not: a call
+    # records that pair without a warning, and warn_truncation warns for
+    # it alone
+    psf = PsfModel.gaussian(0.05)
+    profiles = pair_profiles(psf, 0.2, 0.5, 20)
+    assert mass_fraction(psf, 0.2) > 0.99 > mass_fraction(psf, 0.1)
+    profiles(0.2)
+    profiles(0.05)
+    profiles.warn_truncation(0.05)
+    assert not recwarn.list
+    with pytest.warns(MassTruncationWarning):
+        profiles.warn_truncation(0.2)
+
+
 def test_pair_profiles_check_the_null_mass_on_every_call():
     # at d = 0 only the null source is integrated, and it is truncated
     profiles = pair_profiles(PsfModel.gaussian(0.3), 0.5, 0.5, 20)

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import statres
+import statres.resolution as resolution
 from statres.cli import build_parser, main, parse_grid, parse_psf
 from statres.exceptions import MassTruncationWarning, ParameterError
 
@@ -136,6 +137,33 @@ def test_resolve_mc_reports_its_start(capsys):
         assert key in meta
     # the draw route stays in the library's diagnostics
     assert "draw" not in meta
+
+
+@pytest.mark.parametrize("argv, law", [
+    (["--model", "vsg"], "normal"),
+    (["--model", "poisson"], "edgeworth"),
+    (["--model", "poisson", "--psf", "gaussian:0.01"], "clt")])
+def test_resolve_mc_prints_its_start_law(capsys, argv, law):
+    code, out, _ = run(capsys, ["resolve", "--method", "mc", "--reps",
+                                "1000"] + argv)
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert meta["start_law"] == law
+    # rho, T's Lyapunov ratio, belongs to the poisson start alone
+    assert ("rho" in meta) == (law != "normal")
+
+
+def test_poisson_sweep_draw_count(capsys, monkeypatch):
+    # the Edgeworth start lands in the band at every point of the default
+    # fwhm sweep: one draw per solve, where a CLT start takes 22 draws
+    draws = []
+    draw = resolution.draw_statistic
+    monkeypatch.setattr(resolution, "draw_statistic",
+                        lambda *args: draws.append(args) or draw(*args))
+    code, _, _ = run(capsys, ["simulate", "--sweep", "fwhm", "--models",
+                              "poisson", "--seed", "1"])
+    assert code == 0
+    assert len(draws) <= 11
 
 
 def test_default_mc_resolve_stays_inside_the_window(capsys):
@@ -690,6 +718,19 @@ def test_warning_prints_as_one_line():
         "percent of its kernel mass inside [0, 1]; bin probabilities are "
         "truncated"]
     assert ".py:" not in proc.stderr
+
+
+def test_root_search_warns_only_for_the_reported_pair():
+    # the bracket of this exact solve probes a pair wider than 0.5 whose
+    # sources lose kernel mass; the reported pair and the null keep theirs
+    proc = run_fresh("-m", "statres.cli", "resolve", "--method", "exact",
+                     "--model", "vsg", "--psf", "gaussian:0.10208",
+                     "--gamma", "1.0", "--n", "20", "--t", "20", "--beta",
+                     "0.1", "--x0", "0.5", "--q-weight", "0.5", "--alpha",
+                     "0.1", "--eta", "0.5", "--format", "csv")
+    assert proc.returncode == 0
+    assert float(parse_csv(proc.stdout)[2][0]["d"]) == 0.36682123218361085
+    assert proc.stderr == ""
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, ndtri
+from scipy.special import gammainc, ndtr, ndtri
 from scipy.stats import kstest
 
 import statres.models as models
@@ -15,11 +15,12 @@ from statres.binning import (BinProbabilities, SourceConfig,
 from statres.exceptions import (ModelAssumptionError, ParameterError,
                                 UnsupportedMethodError)
 from statres.models import (MODEL_KINDS, NoiseModel, RngState,
-                            analytic_report, draw_statistic,
-                            exact_error_rates, hg_mu, ks_normal_distance,
-                            lrt_statistic, mc_error_rates, poisson_clt_report,
+                            analytic_report, cornish_fisher_quantile,
+                            draw_statistic, edgeworth_cdf, exact_error_rates,
+                            hg_mu, ks_normal_distance, lrt_statistic,
+                            mc_error_rates, poisson_clt_report,
                             sample_observations, separation_measure,
-                            statistic_moments, vsg_nu)
+                            statistic_cumulants, statistic_moments, vsg_nu)
 from statres.psf import PsfModel
 
 # high-precision quantile references (30-digit evaluation, rounded)
@@ -463,6 +464,64 @@ def test_statistic_moments_of_the_gaussian_models(kind):
     m = separation_measure(model, probs, 30.0)
     assert_allclose(statistic_moments(model, probs, 30.0),
                     (-m, 2.0 * m, m, 2.0 * m), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20, 333])
+def test_poisson_cumulants_are_the_bin_sums(n):
+    # K_j = sum_i lambda_i a_i^j per side; K_1 and K_2 have the bits of a
+    # 1-d row sum of a and of a * a, the CLT moments' own sums
+    rng = np.random.default_rng(n)
+    p0, p1 = rng.random(n) + 0.01, rng.random(n) + 0.01
+    probs = BinProbabilities(n=n, p0=p0 / p0.sum(), p1=p1 / p1.sum())
+    model = NoiseModel("poisson", thinning=0.6)
+    cumulants, rho = statistic_cumulants(model, probs, 35.0)
+    a = np.log(probs.p1 / probs.p0)
+    sides = []
+    for side, p in enumerate((probs.p0, probs.p1)):
+        lam = 0.6 * 35.0 * p
+        assert cumulants[side][0] == models._bin_sum(a, lam)
+        assert cumulants[side][1] == models._bin_sum(a * a, lam)
+        want = [math.fsum(lam * a ** j) for j in (1, 2, 3, 4)]
+        assert_allclose(cumulants[side], want, rtol=1e-12, atol=1e-12)
+        sides.append(math.fsum(lam * np.abs(a) ** 3) / want[1] ** 1.5)
+    assert_allclose(rho, max(sides), rtol=1e-12)
+    assert statistic_moments(model, probs, 35.0) == tuple(
+        cumulants[:, :2].ravel().tolist())
+
+
+@pytest.mark.parametrize("kind", ["hg", "vsg"])
+def test_gaussian_cumulants_are_normal(kind):
+    probs = make_probs(d=0.13, gamma=0.4)
+    model = NoiseModel(kind)
+    cumulants, rho = statistic_cumulants(model, probs, 30.0)
+    e0, v0, e1, v1 = statistic_moments(model, probs, 30.0)
+    assert cumulants.tolist() == [[e0, v0, 0.0, 0.0], [e1, v1, 0.0, 0.0]]
+    assert rho == 0.0
+
+
+def test_edgeworth_cdf_and_cornish_fisher_quantile_of_a_gamma_law():
+    # Gamma(k, 1) has K_j = k (j - 1)!: its skewness 2 / sqrt(k) moves the
+    # normal CDF off by 0.03 at k = 20, the two-term expansion by < 1e-3
+    k = 20.0
+    cumulants = [k, k, 2.0 * k, 6.0 * k]
+    xs = np.linspace(10.0, 34.0, 25)
+    exact = gammainc(k, xs)
+    edgeworth = np.array([edgeworth_cdf(cumulants, x) for x in xs])
+    normal = ndtr((xs - k) / math.sqrt(k))
+    assert np.max(np.abs(edgeworth - exact)) < 1e-3
+    assert np.max(np.abs(normal - exact)) > 0.02
+    for prob in (0.05, 0.1, 0.5, 0.9, 0.95):
+        x = cornish_fisher_quantile(cumulants, prob)
+        assert abs(gammainc(k, x) - prob) < 2e-4
+    # without skewness and excess kurtosis both are the normal law's
+    normal_cumulants = [1.0, 4.0, 0.0, 0.0]
+    assert edgeworth_cdf(normal_cumulants, 2.0) == ndtr(0.5)
+    assert cornish_fisher_quantile(normal_cumulants, 0.9) == \
+        1.0 + 2.0 * ndtri(0.9)
+    # T of zero variance is a point
+    assert edgeworth_cdf([3.0, 0.0, 0.0, 0.0], 3.0) == 1.0
+    assert edgeworth_cdf([3.0, 0.0, 0.0, 0.0], 2.9) == 0.0
+    assert cornish_fisher_quantile([3.0, 0.0, 0.0, 0.0], 0.9) == 3.0
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

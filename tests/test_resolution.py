@@ -217,6 +217,71 @@ def test_mc_resolution_starts_at_the_analytic_separation(sigma, t):
     assert len(trajectory) == 1 + diag["expansions"] + diag["iterations"]
 
 
+# two seeded hg/vsg searches, their d pinned as float.hex
+NORMAL_TRAJECTORIES = {
+    ("vsg", "analytic", 0): [
+        ("0x1.73241f8d28000p-3", 0.108), ("0x1.77533f581c05cp-3", 0.088),
+        ("0x1.753baf72a202ep-3", 0.108), ("0x1.764777655f045p-3", 0.09),
+        ("0x1.75c1936c0083ap-3", 0.086), ("0x1.757ea16f51434p-3", 0.098)],
+    ("hg", "h0-calibrated", 2): [
+        ("0x1.49153c1be8000p-3", 0.138), ("0x1.59b9a00eefc1ap-3", 0.076),
+        ("0x1.4baf87f47a536p-3", 0.098)],
+}
+
+
+@pytest.mark.parametrize("kind, mode, seed", list(NORMAL_TRAJECTORIES))
+def test_gaussian_models_start_at_the_normal_root(kind, mode, seed):
+    # T is normal for hg and vsg: the start is the exact root, named
+    # "normal", without rho, and the searches keep their pinned bits
+    query = make_query(kind, t=20.0, n=20)
+    result = mc_resolution(query, reps=500, rng=RngState(seed=seed),
+                           threshold_mode=mode)
+    diag = result.diagnostics
+    assert diag["start_law"] == "normal" and "rho" not in diag
+    assert diag["start"] == exact_resolution(query).d
+    assert [(d.hex(), b) for d, b in diag["trajectory"]] == \
+        NORMAL_TRAJECTORIES[kind, mode, seed]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
+def test_poisson_start_lands_in_the_band(mode):
+    # at n = t = 20 and FWHM 0.2 the CLT root's true type-II rate is about
+    # 0.089, below the band [0.95 beta, 1.05 beta); the Edgeworth start's
+    # is about 0.0986. A 2e5-rep draw (standard error 0.00067) finds the
+    # start inside the band and the CLT root more than 3 standard errors
+    # below it
+    query = make_query("poisson", t=20.0, n=20)
+    profiles, _, _, root, start = resolution._search(query, mode)
+    assert start["start_law"] == "edgeworth"
+    assert start["rho"] <= resolution.EDGEWORTH_RHO_BOUND
+    reps = 200_000
+    se = math.sqrt(query.beta * (1.0 - query.beta) / reps)
+    rates = []
+    for d in (start["start"], root):
+        probs = profiles(d)
+        rng = RngState(seed=3)
+        threshold = models.mc_threshold(
+            query.model, probs, query.t, query.alpha, mode,
+            lambda: models.draw_statistic(query.model, probs, query.t, 0,
+                                          reps, rng))
+        t1 = models.draw_statistic(query.model, probs, query.t, 1, reps, rng)
+        rates.append(float(np.mean(t1 <= threshold)))
+    assert 0.95 * query.beta <= rates[0] < 1.05 * query.beta
+    assert rates[1] < 0.95 * query.beta - 3.0 * se
+
+
+def test_poisson_start_stays_at_the_clt_root_above_the_rho_bound():
+    # a kernel narrower than a bin puts T near a lattice: rho at the CLT
+    # root is above the bound, and the search starts at that root
+    query = make_query("poisson", sigma=0.01, t=20.0, n=20)
+    result = mc_resolution(query, reps=1000, rng=RngState(seed=0))
+    diag = result.diagnostics
+    assert diag["start_law"] == "clt"
+    assert diag["rho"] > resolution.EDGEWORTH_RHO_BOUND
+    assert diag["start"] == resolution._search(query)[3]
+    assert diag["trajectory"][0][0] == diag["start"]
+
+
 @pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
 def test_both_solvers_give_up_past_the_window():
@@ -231,7 +296,7 @@ def test_both_solvers_give_up_past_the_window():
 @pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
 def test_power_slope_stays_inside_the_window():
-    _, gap, window, _ = resolution._search(make_query("vsg", x0=0.03))
+    _, gap, window, _, _ = resolution._search(make_query("vsg", x0=0.03))
     # at the window's end the slope is read at window / 1.001
     slope = resolution._power_slope(gap, window, window)
     assert slope == resolution._power_slope(gap, window / 1.001, window)
@@ -432,6 +497,7 @@ def test_mc_resolution_drops_underflowed_one_sided_bins(t, route,
             return binning.BinProbabilities(
                 n=probs.n + 5, p0=np.append(probs.p0, np.zeros(5)),
                 p1=padded_p1[-1])
+        padded.warn_truncation = profiles.warn_truncation
         return padded
 
     photon_draws = []
