@@ -17,24 +17,25 @@ null bin profile p0 against the alternative p1 is exactly normal,
 
     T ~ N(-m, 2m) under the null,    T ~ N(+m, 2m) under the alternative,
 
-with m the model's separation measure (``hg_mu`` or ``vsg_nu``), so level
-and power have closed forms. The Poisson statistic sum(Y_i log(p1_i/p0_i))
-is treated by a central-limit report or by Monte Carlo. It sums over a
-support of bins: a bin enters where p0 > 0 and p1 > 0; a bin without mass
-under either hypothesis drops out while its photon mean eta t max(p0, p1)
-is below 2^-53, where the chance of any photon in it rounds away against
-1; any other such bin raises ModelAssumptionError.
+with m = a.a / 2 the model's separation measure (``separation_measure``),
+so level and power have closed forms. The Poisson statistic
+sum(Y_i log(p1_i/p0_i)) is treated by a central-limit report or by Monte
+Carlo. It sums over a support of bins: a bin enters where p0 > 0 and
+p1 > 0; a bin without mass under either hypothesis drops out while its
+photon mean eta t max(p0, p1) is below 2^-53, where the chance of any
+photon in it rounds away against 1; any other such bin raises
+ModelAssumptionError.
 
 T = sum_i a_i (Y_i - c_i) is written once per model (``_statistic_terms``),
-and its moments and m = a.a / 2 come from the same a. Every sum over bins
-is a row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do
-not depend on the BLAS thread count.
+and its law and m come from the same a. Every sum over bins is a
+row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do not
+depend on the BLAS thread count.
 
-The Poisson T has cumulants K_j = sum_i lambda_i a_i^j, summed in one
-pass (``statistic_cumulants``): K_1 and K_2 give the CLT report, and with
-K_3 and K_4 they give T's two-term Edgeworth CDF (``edgeworth_cdf``) and
-its Cornish-Fisher quantile (``cornish_fisher_quantile``), which correct
-the normal law for T's skewness and kurtosis.
+T's law is one object, ``statistic_law``: T's cumulants K_1..K_4 under
+each hypothesis (K_3 = K_4 = 0 for hg and vsg) and its Lyapunov ratio.
+Its CDF and quantile are Edgeworth and Cornish-Fisher forms, the normal
+law's where K_3 = K_4 = 0, and every closed-form level, power, threshold
+and standardization reads it.
 
 A Monte Carlo draw (``draw_statistic``) goes one of two routes, chosen
 by ``draw_route`` from the query alone:
@@ -365,8 +366,7 @@ def separation_measure(model: NoiseModel, probs: BinProbabilities,
         raise UnsupportedMethodError(
             "no closed-form separation measure for the poisson model; "
             "use poisson_clt_report or mc_error_rates")
-    a, _, _ = _statistic_terms(model, probs, t)
-    return 0.5 * float(_bin_sum(a, a))
+    return statistic_law(model, probs, t).cumulants[1][0]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -374,114 +374,128 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError("alpha must lie in (0, 1)")
 
 
-def statistic_moments(model: NoiseModel, probs: BinProbabilities,
-                      t: float) -> tuple[float, float, float, float]:
-    """Mean and variance (e0, v0, e1, v1) of T under the null and the
-    alternative: (-m, 2m, m, 2m) for hg and vsg with m the separation
-    measure, the exact moments of T = sum(Y_i a_i) for poisson, read off
-    ``statistic_cumulants``."""
-    _check_t(t)
-    if model.kind != "poisson":
-        m = separation_measure(model, probs, t)
-        return -m, 2.0 * m, m, 2.0 * m
-    (e0, v0, _, _), (e1, v1, _, _) = \
-        statistic_cumulants(model, probs, t)[0].tolist()
-    return e0, v0, e1, v1
+@dataclass(frozen=True)
+class StatisticLaw:
+    """The law of T under the null (side 0) and the alternative (side 1):
+    its first four cumulants K_1..K_4 per side and its Lyapunov ratio rho.
 
+    ``cdf`` is T's two-term Edgeworth expansion (Hall, The Bootstrap and
+    Edgeworth Expansion, 1992, ch. 2), ``sf`` its complement and
+    ``quantile`` the Cornish-Fisher expansion that inverts it (Cornish &
+    Fisher, 1938):
 
-def statistic_cumulants(model: NoiseModel, probs: BinProbabilities,
-                        t: float) -> tuple[np.ndarray, float]:
-    """The first four cumulants K_1..K_4 of T under the null (row 0) and
-    the alternative (row 1), and T's Lyapunov ratio rho.
+        P(T <= x) = Phi(z) - phi(z) [g1 He2(z) / 6 + g2 He3(z) / 24
+                                     + g1^2 He5(z) / 72],
+        quantile  = K_1 + sqrt(K_2) [w + g1 He2(w) / 6 + g2 He3(w) / 24
+                                     - g1^2 (2 w^3 - 5 w) / 36],
 
-    For poisson, T = sum_i a_i Y_i with Y_i ~ Poi(lambda_i) on T's
-    support, lambda_i = eta t p_i, has K_j = sum_i lambda_i a_i^j, and
-    rho = sum_i lambda_i |a_i|^3 / (sum_i lambda_i a_i^2)^(3/2), the
-    larger of its two sides (inf for T of zero variance), the
-    Berry-Esseen measure of how far T is from normal. One row-wise
-    ``_bin_sum`` per side sums the stacked powers of a, so K_1 and K_2
-    are the bits the CLT report has always used. hg and vsg have the
-    normal T of ``statistic_moments``: K_3 = K_4 = 0 and rho = 0.
+    with z = (x - K_1) / sqrt(K_2), w = z_prob, g1 = K_3 / K_2^(3/2),
+    g2 = K_4 / K_2^2 and the Hermite polynomials He2, He3, He5 = z^2 - 1,
+    z^3 - 3z, z^5 - 10 z^3 + 15 z. A side with K_3 = K_4 = 0 skips the
+    correction, so it is the normal law bit for bit; ``normal`` is that
+    view of any law. T of zero variance is the point K_1.
     """
-    if model.kind != "poisson":
-        e0, v0, e1, v1 = statistic_moments(model, probs, t)
-        return np.array([[e0, v0, 0.0, 0.0], [e1, v1, 0.0, 0.0]]), 0.0
+
+    cumulants: tuple[tuple[float, float, float, float],
+                     tuple[float, float, float, float]]
+    rho: float = 0.0
+
+    def normal(self) -> StatisticLaw:
+        """T's normal law: the same K_1 and K_2, with K_3 = K_4 = 0."""
+        (e0, v0, k3, k4), (e1, v1, l3, l4) = self.cumulants
+        if not (k3 or k4 or l3 or l4):
+            return self
+        return StatisticLaw(((e0, v0, 0.0, 0.0), (e1, v1, 0.0, 0.0)), self.rho)
+
+    def _edgeworth(self, side: int, x: float) -> tuple[float, float]:
+        """z at x and phi(z) times the Edgeworth terms (0 for a normal
+        side); z is +-inf for T of zero variance."""
+        k1, k2, k3, k4 = self.cumulants[side]
+        if k2 == 0.0:
+            return (math.inf if x >= k1 else -math.inf), 0.0
+        s = math.sqrt(k2)
+        z = (x - k1) / s
+        if not (k3 or k4):
+            return z, 0.0
+        g1, g2, z2 = k3 / (k2 * s), k4 / (k2 * k2), z * z
+        terms = (g1 * (z2 - 1.0) / 6.0 + g2 * z * (z2 - 3.0) / 24.0
+                 + g1 * g1 * z * (z2 * z2 - 10.0 * z2 + 15.0) / 72.0)
+        return z, math.exp(-0.5 * z2) / math.sqrt(2.0 * math.pi) * terms
+
+    def cdf(self, side: int, x: float) -> float:
+        """P(T <= x) on one side."""
+        z, correction = self._edgeworth(side, x)
+        return float(ndtr(z)) - correction
+
+    def sf(self, side: int, x: float) -> float:
+        """P(T > x) on one side."""
+        z, correction = self._edgeworth(side, x)
+        return float(ndtr(-z)) + correction
+
+    def quantile(self, side: int, prob: float) -> float:
+        """The prob quantile of T on one side."""
+        k1, k2, k3, k4 = self.cumulants[side]
+        s, w = math.sqrt(k2), float(ndtri(prob))
+        if k3 or k4:
+            g1, g2, z2 = k3 / (k2 * s), k4 / (k2 * k2), w * w
+            w = (w + g1 * (z2 - 1.0) / 6.0 + g2 * w * (z2 - 3.0) / 24.0
+                 - g1 * g1 * w * (2.0 * z2 - 5.0) / 36.0)
+        return k1 + s * w
+
+    def report(self, alpha: float) -> TestReport:
+        """The level-alpha report of the normal view: its null 1 - alpha
+        quantile as threshold, the alternative's sf there as power, or
+        alpha for a degenerate pair (K_2 = 0 under the null)."""
+        law = self.normal()
+        threshold = law.quantile(0, 1.0 - alpha)
+        power = law.sf(1, threshold) if law.cumulants[0][1] else alpha
+        return TestReport(threshold=threshold, level=alpha, power=power)
+
+
+def statistic_law(model: NoiseModel, probs: BinProbabilities,
+                  t: float) -> StatisticLaw:
+    """The law of T: N(-m, 2m) and N(+m, 2m) with m = a.a / 2 and rho = 0
+    for hg and vsg. The Poisson T = sum_i a_i Y_i, Y_i ~ Poi(lambda_i) on
+    T's support, lambda_i = eta t p_i, has K_j = sum_i lambda_i a_i^j and
+    rho = sum_i lambda_i |a_i|^3 / K_2^(3/2), the larger side's (inf for T
+    of zero variance), the Berry-Esseen measure of T's distance from
+    normal; one row-wise ``_bin_sum`` per side sums the stacked powers of
+    a. Cumulants that overflow raise ModelAssumptionError."""
     _check_t(t)
     a, _, support = _statistic_terms(model, probs, t)
-    powers = np.empty((5, a.size))
-    powers[0] = a
-    np.multiply(a, a, out=powers[1])
-    np.multiply(powers[1], a, out=powers[2])
-    np.multiply(powers[1], powers[1], out=powers[3])
-    np.abs(powers[2], out=powers[4])
-    tau = model.thinning * t
-    sums = np.empty((2, 5))
-    for side, p in enumerate((probs.p0, probs.p1)):
-        sums[side] = _bin_sum(powers, tau * p[support])
-    rho = max(s[4] / s[1] ** 1.5 if s[1] > 0.0 else math.inf
-              for s in sums.tolist())
-    return sums[:, :4], rho
+    if model.kind == "poisson":
+        a2, a3 = a * a, a * a * a
+        powers = np.array((a, a2, a3, a2 * a2, np.abs(a3)))
+        tau = model.thinning * t
+        sums = [_bin_sum(powers, tau * p[support]).tolist()
+                for p in (probs.p0, probs.p1)]
+        law = StatisticLaw(tuple(tuple(s[:4]) for s in sums),
+                           max(_lyapunov_ratio(s[1], s[4]) for s in sums))
+    else:
+        m = 0.5 * float(_bin_sum(a, a))
+        law = StatisticLaw(((-m, 2.0 * m, 0.0, 0.0), (m, 2.0 * m, 0.0, 0.0)))
+    if not all(map(math.isfinite, law.cumulants[0] + law.cumulants[1])):
+        raise ModelAssumptionError(
+            f"the statistic T overflows at eta t = {model.thinning * t:g}: "
+            f"its cumulants are not finite")
+    return law
 
 
-def _edgeworth_terms(cumulants) -> tuple[float, float, float, float]:
-    """K_1, sqrt(K_2), the skewness K_3 / K_2^(3/2) and the excess
-    kurtosis K_4 / K_2^2 of T."""
-    k1, k2, k3, k4 = (float(k) for k in cumulants)
-    s = math.sqrt(k2)
-    return k1, s, k3 / (k2 * s), k4 / (k2 * k2)
-
-
-def edgeworth_cdf(cumulants, x: float) -> float:
-    """P(T <= x) by the two-term Edgeworth expansion of T from its
-    cumulants K_1..K_4 (Hall, The Bootstrap and Edgeworth Expansion,
-    1992, ch. 2):
-
-        Phi(z) - phi(z) [g1 He2(z) / 6 + g2 He3(z) / 24 + g1^2 He5(z) / 72]
-
-    with z = (x - K_1) / sqrt(K_2), g1 and g2 the skewness and excess
-    kurtosis, and He_k the Hermite polynomials z^2 - 1, z^3 - 3z and
-    z^5 - 10 z^3 + 15 z. T of zero variance is the point K_1.
-    """
-    if cumulants[1] == 0.0:
-        return float(x >= cumulants[0])
-    k1, s, g1, g2 = _edgeworth_terms(cumulants)
-    z = (x - k1) / s
-    z2 = z * z
-    terms = (g1 * (z2 - 1.0) / 6.0 + g2 * z * (z2 - 3.0) / 24.0
-             + g1 * g1 * z * (z2 * z2 - 10.0 * z2 + 15.0) / 72.0)
-    density = math.exp(-0.5 * z2) / math.sqrt(2.0 * math.pi)
-    return float(ndtr(z)) - density * terms
-
-
-def cornish_fisher_quantile(cumulants, prob: float) -> float:
-    """The prob quantile of T by the Cornish-Fisher expansion that
-    inverts ``edgeworth_cdf`` (Cornish & Fisher, 1938):
-    K_1 + sqrt(K_2) w with
-
-        w = z + g1 He2(z) / 6 + g2 He3(z) / 24 - g1^2 (2 z^3 - 5 z) / 36,
-
-    z = z_prob. T of zero variance is the point K_1.
-    """
-    if cumulants[1] == 0.0:
-        return float(cumulants[0])
-    k1, s, g1, g2 = _edgeworth_terms(cumulants)
-    z = float(ndtri(prob))
-    z2 = z * z
-    w = (z + g1 * (z2 - 1.0) / 6.0 + g2 * z * (z2 - 3.0) / 24.0
-         - g1 * g1 * z * (2.0 * z2 - 5.0) / 36.0)
-    return k1 + s * w
+def _lyapunov_ratio(k2: float, abs3: float) -> float:
+    """abs3 / k2^(3/2): inf at k2 = 0, abs3 / k2 / sqrt(k2) past the range
+    of k2^(3/2)."""
+    try:
+        return abs3 / k2 ** 1.5 if k2 else math.inf
+    except OverflowError:
+        return abs3 / k2 / math.sqrt(k2)
 
 
 def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
                       alpha: float) -> TestReport:
-    """Exact level and power of the level-alpha LRT for hg and vsg.
-
-    With m the separation measure, the statistic is N(-m, 2m) under the
-    null and N(+m, 2m) under the alternative, so the threshold is
-    sqrt(2m) z_(1-alpha) - m and the power is Phi(sqrt(2m) - z_(1-alpha)),
-    which is ``analytic_report``'s one formula for these moments. A
-    degenerate pair (m = 0) reports power = alpha.
-    """
+    """Exact level and power of the level-alpha LRT for hg and vsg, whose
+    T is N(-m, 2m) under the null and N(+m, 2m) under the alternative:
+    threshold sqrt(2m) z_(1-alpha) - m, power Phi(sqrt(2m) - z_(1-alpha)),
+    or alpha for m = 0 (``analytic_report``)."""
     if model.kind == "poisson":
         raise UnsupportedMethodError(
             "no exact error rates for the poisson model; "
@@ -491,29 +505,18 @@ def exact_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
 
 def poisson_clt_report(probs: BinProbabilities, t: float, alpha: float,
                        eta: float = 1.0) -> TestReport:
-    """Normal-approximation level and power of the Poisson LRT, from the
-    exact moments of T through ``analytic_report``'s one formula. A
-    degenerate alternative (p1 identical to p0) reports power = alpha, as
-    it does for every model."""
+    """Normal-approximation level and power of the Poisson LRT from the
+    exact mean and variance of T (``analytic_report``)."""
     return analytic_report(NoiseModel("poisson", thinning=eta), probs, t,
                            alpha)
 
 
 def analytic_report(model: NoiseModel, probs: BinProbabilities, t: float,
                     alpha: float) -> TestReport:
-    """Closed-form report from the moments (e0, v0, e1, v1) of T, one
-    formula for every model: threshold e0 + z_(1-alpha) sqrt(v0) and power
-    Phi((e1 - threshold) / sqrt(v1)). T is normal for hg and vsg, so the
-    report is exact there (the power is Phi(sqrt(2m) - z_(1-alpha))); for
-    poisson it is the CLT approximation. A degenerate pair (v0 = 0) reports
-    power = alpha for every model."""
+    """Closed-form report of the level-alpha LRT for every model, T's
+    ``StatisticLaw.report``: exact for hg and vsg, the CLT for poisson."""
     _check_alpha(alpha)
-    e0, v0, e1, v1 = statistic_moments(model, probs, t)
-    z = float(ndtri(1.0 - alpha))
-    threshold = z * math.sqrt(v0) + e0
-    power = (alpha if v0 == 0.0
-             else float(ndtr((e1 - threshold) / math.sqrt(v1))))
-    return TestReport(threshold=threshold, level=alpha, power=power)
+    return statistic_law(model, probs, t).report(alpha)
 
 
 THRESHOLD_MODES = ("analytic", "h0-calibrated")
@@ -552,12 +555,12 @@ def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
 def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,
                  alpha: float, mode: str,
                  null: Callable[[], np.ndarray]) -> float:
-    """Rejection threshold of the level-alpha LRT: closed-form (CLT for
-    poisson) in "analytic" mode, else the empirical (1 - alpha) quantile
-    of the null statistics ``null()`` draws."""
+    """Rejection threshold of the level-alpha LRT: the null quantile of T's
+    normal law (CLT for poisson) in "analytic" mode, else the empirical
+    (1 - alpha) quantile of the null statistics ``null()`` draws."""
     _check_alpha(alpha)
     if mode == THRESHOLD_MODES[0]:
-        return analytic_report(model, probs, t, alpha).threshold
+        return statistic_law(model, probs, t).normal().quantile(0, 1.0 - alpha)
     if mode not in THRESHOLD_MODES:
         raise ParameterError(f"unknown threshold mode {mode!r}")
     t0 = null()
@@ -600,16 +603,16 @@ def ks_normal_distance(z: np.ndarray) -> float:
 def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
                     reps: int, rng: RngState) -> list[dict]:
     """Kolmogorov-Smirnov distance from N(0, 1) of T drawn under the null
-    (substream 0 of rng) and the alternative (1), each standardized by its
-    exact moments; a side passes at a distance of at most KS_BOUND. The
-    distance is computed here (``ks_normal_distance``), not by scipy.stats.
-    T of zero variance raises ModelAssumptionError before any draw."""
-    e0, v0, e1, v1 = statistic_moments(model, probs, t)
-    if v0 == 0.0 or v1 == 0.0:
+    (substream 0 of rng) and the alternative (1), each standardized by K_1
+    and K_2 of T's law; a side passes at a distance of at most KS_BOUND.
+    The distance is computed here (``ks_normal_distance``), not by
+    scipy.stats. T of zero variance raises ModelAssumptionError first."""
+    law = statistic_law(model, probs, t)
+    if any(k[1] == 0.0 for k in law.cumulants):
         raise ModelAssumptionError("T has zero variance: the pair's bins "
                                    "equal the single source's")
     records = []
-    for side, mean, var in ((0, e0, v0), (1, e1, v1)):
+    for side, (mean, var, _, _) in enumerate(law.cumulants):
         stats = draw_statistic(model, probs, t, side, reps, rng)
         ks = ks_normal_distance((stats - mean) / math.sqrt(var))
         records.append({"check": f"{model.kind}-normality",

@@ -44,9 +44,8 @@ from .binning import (bin_curvature_integrals, bin_information_sum,
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, analytic_report,
-                     cornish_fisher_quantile, draw_statistic, edgeworth_cdf,
-                     mc_threshold, statistic_cumulants)
+from .models import (NoiseModel, RngState, draw_statistic, mc_threshold,
+                     statistic_law)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -188,15 +187,16 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     target 1 - beta, which caches every separation it evaluates; w;
     ``_power_root`` of the gap on (0, w]; and the Monte Carlo search's
     start as diagnostics: "start", the law it came from, "start_law",
-    and for poisson "rho".
+    and for poisson "rho". Every gap reads T's law at d, one cached
+    ``models.statistic_law`` per separation.
 
     For hg and vsg the start is that root and its law "normal": T is
     normal, so the closed form is exact. For poisson the CLT root misses
     T's skewness, so the start is ``_power_root`` of T's two-term
-    Edgeworth power (``models.edgeworth_cdf``), bracketed from the CLT
-    root, at the threshold of ``threshold_mode``: the CLT threshold the
-    draws use in "analytic" mode, the Cornish-Fisher (1 - alpha) null
-    quantile in "h0-calibrated" mode. It applies ("edgeworth") only while
+    Edgeworth power (``StatisticLaw.cdf``), bracketed from the CLT root,
+    at the threshold of ``threshold_mode``: the CLT threshold the draws
+    use in "analytic" mode, the Cornish-Fisher (1 - alpha) null quantile
+    in "h0-calibrated" mode. It applies ("edgeworth") only while
     T's Lyapunov ratio rho at the CLT start, the CLT root or else w, is
     at most EDGEWORTH_RHO_BOUND; otherwise, or when the Edgeworth power
     has no root in the window or is not finite there, the start stays at
@@ -208,31 +208,26 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     model, t = query.model, query.t
 
     @functools.cache
+    def law(d: float):
+        return statistic_law(model, profiles(d), t)
+
+    @functools.cache
     def gap(d: float) -> float:
-        return (analytic_report(model, profiles(d), t, query.alpha).power
-                - (1.0 - query.beta))
+        return law(d).report(query.alpha).power - (1.0 - query.beta)
 
     root = _power_root(gap, psf_fwhm(query.psf), window)
     start = {"start": root or window, "start_law": "normal"}
     if model.kind != "poisson":
         return profiles, gap, window, root, start
 
-    @functools.cache
-    def cumulants(d: float):
-        return statistic_cumulants(model, profiles(d), t)
-
-    z = float(ndtri(1.0 - query.alpha))
-
     def edgeworth_gap(d: float) -> float:
-        (null, alt), _ = cumulants(d)
-        threshold = (null[0] + z * math.sqrt(null[1])
-                     if threshold_mode == "analytic" else
-                     cornish_fisher_quantile(null, 1.0 - query.alpha))
-        return query.beta - edgeworth_cdf(alt, threshold)
+        null = alt = law(d)
+        if threshold_mode == "analytic":
+            null = alt.normal()
+        return query.beta - alt.cdf(1, null.quantile(0, 1.0 - query.alpha))
 
-    rho = cumulants(start["start"])[1]
-    start.update(start_law="clt", rho=rho)
-    if rho <= EDGEWORTH_RHO_BOUND:
+    start.update(start_law="clt", rho=law(start["start"]).rho)
+    if start["rho"] <= EDGEWORTH_RHO_BOUND:
         d = _power_root(edgeworth_gap, start["start"], window)
         if d is not None and math.isfinite(edgeworth_gap(d)):
             start.update(start=d, start_law="edgeworth")
@@ -315,19 +310,14 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
                   threshold_mode: str = "analytic") -> ResolutionResult:
     """Search for the separation whose simulated type-II rate is beta.
 
-    The first draw is at the analytic critical separation d_a of
-    ``_search``: for hg/vsg the root of the exact power ("normal"); for
-    poisson the root of T's two-term Edgeworth power at the threshold of
-    ``threshold_mode`` ("edgeworth") while T's Lyapunov ratio
-    rho = sum lambda |a|^3 / (sum lambda a^2)^(3/2) at the CLT root is at
-    most EDGEWORTH_RHO_BOUND, else the CLT root ("clt"). It is the answer
-    whenever the estimated type-II rate beta_hat lands in the acceptance
-    band [0.95 beta, 1.05 beta). Otherwise
-    each missed probe becomes the low end of a bracket if beta_hat lies
-    above the band, or its high end if below, and the next probe is the
-    Newton step d + (beta_hat - beta) / g'(d), with g' the slope of the
-    closed-form power (``_power_slope``): exact for hg/vsg, the CLT slope
-    for poisson, and no draw. The step is clamped to
+    The first draw is at the analytic start d_a of ``_search`` ("normal",
+    "edgeworth" or "clt"). It is the answer whenever the estimated type-II
+    rate beta_hat lands in the acceptance band [0.95 beta, 1.05 beta).
+    Otherwise each missed probe becomes the low end of a bracket if
+    beta_hat lies above the band, or its high end if below, and the next
+    probe is the Newton step d + (beta_hat - beta) / g'(d), with g' the
+    slope of the closed-form power (``_power_slope``): exact for hg/vsg,
+    the CLT slope for poisson, and no draw. The step is clamped to
     [d / 1.5, min(1.5 d, w)], with (0, w] the search window of
     ``_search``, which the exact solve shares; a step that leaves the
     bracket is replaced by its midpoint. Without an analytic root in the

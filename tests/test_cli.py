@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -644,6 +645,31 @@ def test_poisson_mean_above_the_sampler_bound_exits_4(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--d", "0.3", "--t", "1e300"],
+    ["scan", "--t", "1e300"],
+    ["check", "--clt", "--t", "1e300"],
+    ["resolve", "--method", "mc", "--t", "1e300"],
+    ["power", "--model", "hg", "--d", "0.3", "--t", "1e160"],
+    ["resolve", "--method", "exact", "--model", "hg", "--t", "1e160"],
+    ["resolve", "--method", "mc", "--model", "hg", "--t", "1e160"],
+])
+def test_huge_eta_t_gives_finite_numbers_or_one_error_line(capsys, argv):
+    # the Poisson rho's K_2^(3/2) overflows at eta t = 1e300, and the hg
+    # separation m at eta t = 1e160: either the command still reports
+    # finite numbers or it stops with one line and a documented exit code
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    if code == 0:
+        records = json.loads(out)["records"]
+        assert records and err == ""
+        for cell in (v for record in records for v in record.values()):
+            assert isinstance(cell, (str, bool)) or (
+                isinstance(cell, (int, float)) and math.isfinite(cell)), cell
+    else:
+        assert code in (3, 4) and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,13 +14,12 @@ from statres.binning import (BinProbabilities, SourceConfig,
                              bin_curvature_integrals, bin_probabilities)
 from statres.exceptions import (ModelAssumptionError, ParameterError,
                                 UnsupportedMethodError)
-from statres.models import (MODEL_KINDS, NoiseModel, RngState,
-                            analytic_report, cornish_fisher_quantile,
-                            draw_statistic, edgeworth_cdf, exact_error_rates,
-                            hg_mu, ks_normal_distance, lrt_statistic,
-                            mc_error_rates, poisson_clt_report,
-                            sample_observations, separation_measure,
-                            statistic_cumulants, statistic_moments, vsg_nu)
+from statres.models import (MODEL_KINDS, NoiseModel, RngState, StatisticLaw,
+                            analytic_report, draw_statistic,
+                            exact_error_rates, hg_mu, ks_normal_distance,
+                            lrt_statistic, mc_error_rates,
+                            poisson_clt_report, sample_observations,
+                            separation_measure, statistic_law, vsg_nu)
 from statres.psf import PsfModel
 
 # high-precision quantile references (30-digit evaluation, rounded)
@@ -214,9 +213,9 @@ def test_photon_draw_equals_a_one_shot_draw(t, monkeypatch):
 def test_photon_draw_moments_match_statistic_moments(n, t, reps):
     probs = make_probs(n=n, d=0.15, gamma=0.2)
     model = NoiseModel("poisson", thinning=0.8)
-    moments = statistic_moments(model, probs, t)
+    law = statistic_law(model, probs, t)
     for side in (0, 1):
-        mean, var = moments[2 * side], moments[2 * side + 1]
+        mean, var = law.cumulants[side][:2]
         assert models.draw_route(model, probs.p1 if side else probs.p0,
                                  t) == "photons"
         stats = draw_statistic(model, probs, t, side, reps, RngState(seed=7))
@@ -426,14 +425,14 @@ def test_poisson_one_sided_bin_drops_out_below_photon_mean_two_to_minus_53():
     for mean in (edge, 2.0 * edge, 1.0):
         padded = pad_with_one_sided_bins(probs, mean / 16.0)
         with pytest.raises(ModelAssumptionError):
-            statistic_moments(model, padded, 32.0)
+            statistic_law(model, padded, 32.0)
         with pytest.raises(ModelAssumptionError):
             draw_statistic(model, padded, 32.0, 0, 100, RngState())
         with pytest.raises(ModelAssumptionError):
             lrt_statistic(model, padded, 32.0, y)
     padded = pad_with_one_sided_bins(probs, np.nextafter(edge, 0.0) / 16.0)
-    assert statistic_moments(model, padded, 32.0) == \
-        statistic_moments(model, probs, 32.0)
+    assert statistic_law(model, padded, 32.0) == \
+        statistic_law(model, probs, 32.0)
     assert lrt_statistic(model, padded, 32.0, y) == \
         lrt_statistic(model, probs, 32.0, y[3:-2])
 
@@ -462,8 +461,9 @@ def test_statistic_moments_of_the_gaussian_models(kind):
     probs = make_probs(d=0.13, gamma=0.4)
     model = NoiseModel(kind, thinning=0.7)
     m = separation_measure(model, probs, 30.0)
-    assert_allclose(statistic_moments(model, probs, 30.0),
-                    (-m, 2.0 * m, m, 2.0 * m), rtol=1e-12)
+    law = statistic_law(model, probs, 30.0)
+    assert_allclose([k[:2] for k in law.cumulants],
+                    [(-m, 2.0 * m), (m, 2.0 * m)], rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 7, 20, 333])
@@ -474,7 +474,8 @@ def test_poisson_cumulants_are_the_bin_sums(n):
     p0, p1 = rng.random(n) + 0.01, rng.random(n) + 0.01
     probs = BinProbabilities(n=n, p0=p0 / p0.sum(), p1=p1 / p1.sum())
     model = NoiseModel("poisson", thinning=0.6)
-    cumulants, rho = statistic_cumulants(model, probs, 35.0)
+    law = statistic_law(model, probs, 35.0)
+    cumulants, rho = law.cumulants, law.rho
     a = np.log(probs.p1 / probs.p0)
     sides = []
     for side, p in enumerate((probs.p0, probs.p1)):
@@ -485,43 +486,57 @@ def test_poisson_cumulants_are_the_bin_sums(n):
         assert_allclose(cumulants[side], want, rtol=1e-12, atol=1e-12)
         sides.append(math.fsum(lam * np.abs(a) ** 3) / want[1] ** 1.5)
     assert_allclose(rho, max(sides), rtol=1e-12)
-    assert statistic_moments(model, probs, 35.0) == tuple(
-        cumulants[:, :2].ravel().tolist())
+    # rho falls as (eta t)^(-1/2), also where K_2^(3/2) overflows
+    far = statistic_law(model, probs, 35.0e300)
+    assert_allclose(far.rho * 1e150, rho, rtol=1e-12)
+    # the CLT report reads K_1 and K_2 alone
+    report = poisson_clt_report(probs, 35.0, 0.1, eta=0.6)
+    (e0, v0, _, _), (e1, v1, _, _) = cumulants
+    threshold = e0 + math.sqrt(v0) * ndtri(0.9)
+    assert report.threshold == threshold
+    assert report.power == ndtr((e1 - threshold) / math.sqrt(v1))
 
 
 @pytest.mark.parametrize("kind", ["hg", "vsg"])
 def test_gaussian_cumulants_are_normal(kind):
     probs = make_probs(d=0.13, gamma=0.4)
     model = NoiseModel(kind)
-    cumulants, rho = statistic_cumulants(model, probs, 30.0)
-    e0, v0, e1, v1 = statistic_moments(model, probs, 30.0)
-    assert cumulants.tolist() == [[e0, v0, 0.0, 0.0], [e1, v1, 0.0, 0.0]]
-    assert rho == 0.0
+    law = statistic_law(model, probs, 30.0)
+    m = separation_measure(model, probs, 30.0)
+    assert law.cumulants == ((-m, 2.0 * m, 0.0, 0.0), (m, 2.0 * m, 0.0, 0.0))
+    assert law.rho == 0.0
+    assert law.normal() == law
 
 
 def test_edgeworth_cdf_and_cornish_fisher_quantile_of_a_gamma_law():
     # Gamma(k, 1) has K_j = k (j - 1)!: its skewness 2 / sqrt(k) moves the
     # normal CDF off by 0.03 at k = 20, the two-term expansion by < 1e-3
     k = 20.0
-    cumulants = [k, k, 2.0 * k, 6.0 * k]
+    law = StatisticLaw(((k, k, 2.0 * k, 6.0 * k),) * 2)
     xs = np.linspace(10.0, 34.0, 25)
     exact = gammainc(k, xs)
-    edgeworth = np.array([edgeworth_cdf(cumulants, x) for x in xs])
+    edgeworth = np.array([law.cdf(0, x) for x in xs])
+    survival = np.array([law.sf(0, x) for x in xs])
     normal = ndtr((xs - k) / math.sqrt(k))
     assert np.max(np.abs(edgeworth - exact)) < 1e-3
+    assert np.max(np.abs(survival - (1.0 - exact))) < 1e-3
     assert np.max(np.abs(normal - exact)) > 0.02
     for prob in (0.05, 0.1, 0.5, 0.9, 0.95):
-        x = cornish_fisher_quantile(cumulants, prob)
+        x = law.quantile(0, prob)
         assert abs(gammainc(k, x) - prob) < 2e-4
-    # without skewness and excess kurtosis both are the normal law's
-    normal_cumulants = [1.0, 4.0, 0.0, 0.0]
-    assert edgeworth_cdf(normal_cumulants, 2.0) == ndtr(0.5)
-    assert cornish_fisher_quantile(normal_cumulants, 0.9) == \
-        1.0 + 2.0 * ndtri(0.9)
+    # without skewness and excess kurtosis all three are the normal law's,
+    # bit for bit, and so is the normal view of any law
+    for normal_law in (StatisticLaw(((1.0, 4.0, 0.0, 0.0),) * 2),
+                       StatisticLaw(((1.0, 4.0, 3.0, 5.0),) * 2).normal()):
+        assert normal_law.cdf(0, 2.0) == ndtr(0.5)
+        assert normal_law.sf(0, 2.0) == ndtr(-0.5)
+        assert normal_law.quantile(0, 0.9) == 1.0 + 2.0 * ndtri(0.9)
+    assert [law.normal().cdf(0, x) for x in xs] == normal.tolist()
     # T of zero variance is a point
-    assert edgeworth_cdf([3.0, 0.0, 0.0, 0.0], 3.0) == 1.0
-    assert edgeworth_cdf([3.0, 0.0, 0.0, 0.0], 2.9) == 0.0
-    assert cornish_fisher_quantile([3.0, 0.0, 0.0, 0.0], 0.9) == 3.0
+    point = StatisticLaw(((3.0, 0.0, 0.0, 0.0),) * 2)
+    assert point.cdf(0, 3.0) == 1.0 and point.sf(0, 3.0) == 0.0
+    assert point.cdf(0, 2.9) == 0.0 and point.sf(0, 2.9) == 1.0
+    assert point.quantile(0, 0.9) == 3.0
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -529,9 +544,9 @@ def test_statistic_moments_match_simulation(kind):
     probs = make_probs(d=0.15, gamma=0.2)
     model = NoiseModel(kind, thinning=0.8)
     t, reps = 25.0, 40000
-    moments = statistic_moments(model, probs, t)
+    law = statistic_law(model, probs, t)
     for side in (0, 1):
-        mean, var = moments[2 * side], moments[2 * side + 1]
+        mean, var = law.cumulants[side][:2]
         stats = draw_statistic(model, probs, t, side, reps,
                                RngState(seed=11))
         centered = stats - stats.mean()

@@ -1,5 +1,6 @@
 """Critical-separation solvers and their scaling laws."""
 
+import json
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from statres.exceptions import (ConvergenceWarning, GeometryError,
                                 UnsupportedMethodError)
 from statres.models import NoiseModel, RngState, exact_error_rates
 from statres.binning import SourceConfig, bin_probabilities
+from statres.cli import main
 from statres.psf import GAUSSIAN_FWHM_FACTOR, PsfModel, psf_fwhm
 from statres.resolution import (ResolutionQuery, ResolutionResult,
                                 acuna_power, asymptotic_resolution,
@@ -280,6 +282,32 @@ def test_poisson_start_stays_at_the_clt_root_above_the_rho_bound():
     assert diag["rho"] > resolution.EDGEWORTH_RHO_BOUND
     assert diag["start"] == resolution._search(query)[3]
     assert diag["trajectory"][0][0] == diag["start"]
+
+
+# the default Poisson query: its Edgeworth start and rho, and the seeded
+# search's d and iterations, pinned as float.hex
+POISSON_RHO = "0x1.bcee047522e40p-2"
+POISSON_SEARCHES = {
+    "analytic": ("0x1.74cf697ba8000p-3", "0x1.7379bc290b341p-3", 1),
+    "h0-calibrated": ("0x1.74fd611a08000p-3", "0x1.74fd611a08000p-3", 0),
+}
+
+
+@pytest.mark.parametrize("mode", list(POISSON_SEARCHES))
+def test_default_poisson_search_keeps_its_pinned_bits(capsys, mode):
+    start_hex, d_hex, iterations = POISSON_SEARCHES[mode]
+    start = resolution._search(make_query("poisson"), mode)[4]
+    assert start["start"].hex() == start_hex
+    assert start["start_law"] == "edgeworth"
+    assert start["rho"].hex() == POISSON_RHO
+    assert main(["resolve", "--method", "mc", "--model", "poisson",
+                 "--seed", "1", "--threshold", mode, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    meta, record = doc["meta"], doc["records"][0]
+    assert (meta["start"], meta["start_law"], meta["rho"]) == \
+        (start["start"], start["start_law"], start["rho"])
+    assert record["d"].hex() == d_hex
+    assert meta["iterations"] == iterations
 
 
 @pytest.mark.filterwarnings(
