@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import normal
 from .binning import SourceConfig, bin_information_sum, bin_probabilities
 from .exceptions import GeometryError, ParameterError
 from .models import MODEL_KINDS, NoiseModel, RngState, analytic_report
@@ -70,7 +70,7 @@ def criterion_alpha(criterion: str, t: float) -> float:
     if not t >= 1.0:
         raise ParameterError("illumination time t must be >= 1")
     z = (CRITERION_RATIOS[criterion] / BOUNDARY_COEFF) ** 2 * math.sqrt(t)
-    return 1.0 - float(ndtr(z))
+    return 1.0 - normal.cdf(z)
 
 
 def sted_improvement(ratio: float) -> float:

@@ -95,9 +95,9 @@ def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilit
     n < 1, GeometryError if the configuration leaves the window (checked at
     SourceConfig construction).
     """
-    edges = bin_edges(n)
-    null_bins = _kernel_bins(psf, src.x0, edges)
-    probs, pair_bins = _profiles(psf, src, n, edges, null_bins)
+    null_bins, *pair_bins = _kernel_bins(psf, (src.x0, *_pair(src)),
+                                         bin_edges(n))
+    probs = _profiles(psf, src, n, null_bins, pair_bins)
     if _truncated(psf, null_bins, *pair_bins):
         _warn_truncation(2)
     return probs
@@ -119,15 +119,15 @@ class _PairProfiles:
     def __init__(self, psf: PsfModel, x0: float, weight_q: float, n: int):
         self.psf, self.x0, self.weight_q, self.n = psf, x0, weight_q, n
         self.edges = bin_edges(n)
-        self.null_bins = _kernel_bins(psf, x0, self.edges)
+        self.null_bins = _kernel_bins(psf, (x0,), self.edges)[0]
         self.null_truncated = _truncated(psf, self.null_bins)
         # separations whose pair keeps less than MASS_WARN_FRACTION inside
         self.truncated: set[float] = set()
 
     def __call__(self, d: float) -> BinProbabilities:
         src = SourceConfig(x0=self.x0, d=d, weight_q=self.weight_q)
-        probs, pair_bins = _profiles(self.psf, src, self.n, self.edges,
-                                     self.null_bins)
+        pair_bins = list(_kernel_bins(self.psf, _pair(src), self.edges))
+        probs = _profiles(self.psf, src, self.n, self.null_bins, pair_bins)
         if _truncated(self.psf, *pair_bins):
             self.truncated.add(d)
         if self.null_truncated:
@@ -152,25 +152,26 @@ def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
     return _PairProfiles(psf, x0, weight_q, n)
 
 
-def _profiles(psf: PsfModel, src: SourceConfig, n: int, edges: np.ndarray,
-              null_bins: np.ndarray) -> tuple[BinProbabilities, list]:
-    """p0 and p1 given the null source's kernel bins, and the kernel bins
-    of the alternative's sources (none when they coincide with the null).
-    """
+def _pair(src: SourceConfig) -> tuple:
+    """The alternative's two source positions, or none when both coincide
+    with the null source."""
+    if src.d == 0.0 and src.offset_lambda == 0.0:
+        return ()
+    return src.x1, src.x2
+
+
+def _profiles(psf: PsfModel, src: SourceConfig, n: int, null_bins: np.ndarray,
+              pair_bins: list) -> BinProbabilities:
+    """p0 and p1 from the kernel bins of the null source and of the
+    alternative's sources (none when they coincide with the null)."""
     pedestal = psf.background / n
     p0 = null_bins + pedestal
-    pair_bins = []
-
-    if src.d == 0.0 and src.offset_lambda == 0.0:
-        # both alternative sources coincide with the null position
-        p1 = p0.copy()
-    else:
+    if pair_bins:
         q = src.weight_q
-        pair_bins = [_kernel_bins(psf, src.x1, edges),
-                     _kernel_bins(psf, src.x2, edges)]
         p1 = q * pair_bins[0] + (1.0 - q) * pair_bins[1] + pedestal
-
-    return BinProbabilities(n=n, p0=p0, p1=p1), pair_bins
+    else:
+        p1 = p0.copy()
+    return BinProbabilities(n=n, p0=p0, p1=p1)
 
 
 def _truncated(psf: PsfModel, *kernel_bins: np.ndarray) -> bool:
@@ -210,7 +211,11 @@ def bin_information_sum(psf: PsfModel, x0: float, n: int) -> float:
     floats. The rule reads p0 alone, unlike the poisson statistic's
     support, which reads both hypotheses (``models``).
     """
-    curvature_bins = bin_curvature_integrals(psf, x0, n)
     null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
+    return _information_sum(bin_curvature_integrals(psf, x0, n), null)
+
+
+def _information_sum(curvature_bins: np.ndarray, null: np.ndarray) -> float:
+    """sum_i curvature_bins_i^2 / null_i over the bins with null mass."""
     mass = null > 0.0
     return float(np.sum(curvature_bins[mass] ** 2 / null[mass]))

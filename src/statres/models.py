@@ -61,8 +61,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import normal
 from .binning import BinProbabilities
 from .exceptions import (ModelAssumptionError, ParameterError,
                          UnsupportedMethodError)
@@ -318,7 +318,7 @@ def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
                 math.sqrt(tau) * (root0 + root1), slice(None))
     support = (p0 > 0.0) & (p1 > 0.0)
     if support.all():
-        a = np.log(p1 / p0)
+        a = _log_ratio(p1, p0)
         return a, np.zeros(a.size), slice(None)
     drop = ((np.minimum(p0, p1) == 0.0)
             & (tau * np.maximum(p0, p1) < np.finfo(float).eps / 2))
@@ -326,8 +326,20 @@ def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
         raise ModelAssumptionError(
             "poisson likelihood ratio requires p0 and p1 to be both "
             "positive in every bin of photon mean 2^-53 or more")
-    a = np.log(p1[support] / p0[support])
+    a = _log_ratio(p1[support], p0[support])
     return a, np.zeros(a.size), support
+
+
+def _log_ratio(p1: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """log(p1 / p0) of positive bins, and log p1 - log p0 where that
+    ratio overflows or underflows to 0 (a bin subnormal under one
+    hypothesis only), so that every other bin keeps the ratio's bits."""
+    with np.errstate(over="ignore", divide="ignore"):
+        a = np.log(p1 / p0)
+    odd = ~np.isfinite(a)
+    if odd.any():
+        a[odd] = np.log(p1[odd]) - np.log(p0[odd])
+    return a
 
 
 def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
@@ -425,17 +437,17 @@ class StatisticLaw:
     def cdf(self, side: int, x: float) -> float:
         """P(T <= x) on one side."""
         z, correction = self._edgeworth(side, x)
-        return float(ndtr(z)) - correction
+        return normal.cdf(z) - correction
 
     def sf(self, side: int, x: float) -> float:
         """P(T > x) on one side."""
         z, correction = self._edgeworth(side, x)
-        return float(ndtr(-z)) + correction
+        return normal.cdf(-z) + correction
 
     def quantile(self, side: int, prob: float) -> float:
         """The prob quantile of T on one side."""
         k1, k2, k3, k4 = self.cumulants[side]
-        s, w = math.sqrt(k2), float(ndtri(prob))
+        s, w = math.sqrt(k2), normal.quantile(prob)
         if k3 or k4:
             g1, g2, z2 = k3 / (k2 * s), k4 / (k2 * k2), w * w
             w = (w + g1 * (z2 - 1.0) / 6.0 + g2 * w * (z2 - 3.0) / 24.0
@@ -592,8 +604,12 @@ def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
 
 def ks_normal_distance(z: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov distance of the sample z from N(0, 1):
-    the larger of max(i/n - F(z_(i))) and max(F(z_(i)) - (i-1)/n)."""
-    cdf = ndtr(np.sort(z))
+    the larger of max(i/n - F(z_(i))) and max(F(z_(i)) - (i-1)/n), with
+    F(z) the normal tail P(Z > |z|) left of 0 and 1 less it right of 0."""
+    z = np.sort(z)
+    cdf = normal.tail(z)
+    right = np.searchsorted(z, 0.0, "right")
+    cdf[right:] = 1.0 - cdf[right:]
     n = cdf.size
     above = np.arange(1.0, n + 1) / n - cdf
     below = cdf - np.arange(0.0, n) / n
@@ -605,8 +621,9 @@ def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
     """Kolmogorov-Smirnov distance from N(0, 1) of T drawn under the null
     (substream 0 of rng) and the alternative (1), each standardized by K_1
     and K_2 of T's law; a side passes at a distance of at most KS_BOUND.
-    The distance is computed here (``ks_normal_distance``), not by
-    scipy.stats. T of zero variance raises ModelAssumptionError first."""
+    The distance and its normal CDF are computed here
+    (``ks_normal_distance`` on ``normal.tail``), without scipy. T of zero
+    variance raises ModelAssumptionError first."""
     law = statistic_law(model, probs, t)
     if any(k[1] == 0.0 for k in law.cumulants):
         raise ModelAssumptionError("T has zero variance: the pair's bins "

@@ -18,19 +18,24 @@ case goes through the Gauss-Legendre quadrature of ``statres.quadrature``
 in the kernel's coordinate u.
 
 This module owns every kernel integral. ``_kernel_bins`` is the one path
-to the kernel's mass in a set of bins: a difference of normal CDFs for a
+to the kernel's mass in a set of bins: differences of normal tails for a
 Gaussian, the quadrature for an Airy pattern. Bin probabilities and the
 mass fraction inside [0, 1] both come from it.
+
+Only the Airy pattern needs scipy, for its Bessel functions; the first
+Airy call imports ``scipy.special`` (``_bessel``), and a Gaussian kernel
+never does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, j1, jv, ndtr
 
+from . import normal
 from .exceptions import ModelAssumptionError, ParameterError
 from .quadrature import integrate_bins
 
@@ -102,6 +107,13 @@ class PsfModel:
         return cls(kind="airy", fwhm=fwhm, background=background)
 
 
+@functools.cache
+def _bessel() -> tuple:
+    """scipy.special's j1 and jv, imported on the first Airy call."""
+    from scipy.special import j1, jv
+    return j1, jv
+
+
 def kernel_value(psf: PsfModel, u) -> np.ndarray:
     """Kernel h(u) without the background pedestal. Vectorized in u."""
     u = np.asarray(u, dtype=float)
@@ -111,6 +123,7 @@ def kernel_value(psf: PsfModel, u) -> np.ndarray:
     scale = AIRY_FWHM_U / psf.fwhm
     v = scale * u
     ratio = np.ones_like(v)
+    j1, _ = _bessel()
     np.divide(2.0 * j1(v), v, out=ratio, where=v != 0.0)
     return ratio ** 2
 
@@ -132,6 +145,7 @@ def _airy_amplitude(psf: PsfModel, u) -> tuple:
     v = scale * np.asarray(u, dtype=float)
     small = np.abs(v) < 1e-8
     w = np.where(small, 1.0, v)
+    j1, jv = _bessel()
     b1, b2 = j1(w), jv(2, w)
     g = np.where(small, 1.0, 2.0 * b1 / w)
     dg = np.where(small, -0.25 * v, -2.0 * b2 / w)
@@ -189,7 +203,7 @@ def curvature_integral(psf: PsfModel, x0: float = 0.5) -> float:
     """
     if psf.kind == "gaussian" and x0 == 0.5:
         sigma = psf.sigma
-        num = (6.0 * math.sqrt(math.pi) * sigma ** 3 * float(erf(0.5 / sigma))
+        num = (6.0 * math.sqrt(math.pi) * sigma ** 3 * math.erf(0.5 / sigma)
                + math.exp(-0.25 / sigma ** 2) * (2.0 * sigma ** 2 - 1.0))
         return num / (16.0 * math.pi * sigma ** 8)
     return _window_integral(
@@ -206,7 +220,7 @@ def fisher_integral(psf: PsfModel, x0: float = 0.5) -> float:
     """
     if psf.kind == "gaussian" and psf.background == 0.0 and x0 == 0.5:
         sigma = psf.sigma
-        term1 = 2.0 * float(erf(0.5 / (math.sqrt(2.0) * sigma))) / sigma ** 4
+        term1 = 2.0 * math.erf(0.5 / (math.sqrt(2.0) * sigma)) / sigma ** 4
         term2 = (math.exp(-0.125 / sigma ** 2) * (4.0 * sigma ** 2 + 1.0)
                  / (4.0 * math.sqrt(2.0 * math.pi) * sigma ** 7))
         return term1 - term2
@@ -237,18 +251,25 @@ def _window_integral(psf: PsfModel, func, center: float) -> float:
     return float(integrate_bins(func, (0.0, 1.0), center, _width(psf))[0])
 
 
-def _kernel_bins(psf: PsfModel, center: float, edges: np.ndarray) -> np.ndarray:
-    """Kernel mass of a source at ``center`` inside each bin."""
+def _kernel_bins(psf: PsfModel, centers: tuple,
+                 edges: np.ndarray) -> np.ndarray:
+    """Kernel mass of a source at each of ``centers`` inside each bin
+    between the ascending ``edges``, one row per center."""
     if psf.kind == "gaussian":
-        # neighboring bins share an edge, so each CDF is taken once per
-        # edge; right of the center the upper tails differ without
-        # cancellation
-        z = (edges - center) / psf.sigma
-        lower, upper = ndtr(z), ndtr(-z)
-        return np.where(z[:-1] >= 0.0, upper[:-1] - upper[1:],
-                        lower[1:] - lower[:-1])
-    return integrate_bins(lambda u: kernel_value(psf, u), edges, center,
-                          _width(psf))
+        # one normal tail per edge and center, all in one call: with the
+        # tails right of the center negated, a bin is the difference of
+        # its edges' values, without cancellation, plus 1 in the bin that
+        # holds the center
+        z = (edges - np.array(centers, dtype=float)[:, None]) / psf.sigma
+        right = z > 0.0
+        tail = normal.tail(z.ravel()).reshape(z.shape)
+        np.negative(tail, out=tail, where=right)
+        bins = tail[:, 1:] - tail[:, :-1]
+        bins += right[:, 1:] ^ right[:, :-1]
+        return bins
+    return np.array([integrate_bins(lambda u: kernel_value(psf, u), edges,
+                                    center, _width(psf))
+                     for center in centers])
 
 
 def total_mass(psf: PsfModel) -> float:
@@ -261,5 +282,5 @@ def total_mass(psf: PsfModel) -> float:
 def mass_fraction(psf: PsfModel, center: float) -> float:
     """Fraction of kernel mass inside [0, 1] for a source at ``center``:
     the one bin [0, 1] of ``_kernel_bins`` over the total mass."""
-    inside = _kernel_bins(psf, center, np.array([0.0, 1.0]))[0]
+    inside = _kernel_bins(psf, (center,), np.array([0.0, 1.0]))[0, 0]
     return float(inside) / total_mass(psf)

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .binning import (bin_curvature_integrals, bin_information_sum,
-                      pair_profiles)
+from . import normal
+from .binning import (_information_sum, bin_curvature_integrals,
+                      bin_information_sum, pair_profiles)
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -119,7 +119,8 @@ def _law(query: ResolutionQuery, information: float) -> float:
     if not information > 0.0:
         return math.inf
     q = query.weight_q
-    gap = float(ndtri(1.0 - query.alpha) + ndtri(1.0 - query.beta))
+    gap = (normal.quantile(1.0 - query.alpha)
+           + normal.quantile(1.0 - query.beta))
     d = (math.sqrt(2.0) / math.sqrt(q * (1.0 - q)) * math.sqrt(gap)
          * information ** -0.25)
     tau = query.model.thinning * query.t
@@ -167,12 +168,17 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
             "finite-n resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
     if query.model.kind == "hg":
-        curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
-        bin_sum = float(np.einsum("i,i->", curvature_bins, curvature_bins))
+        bin_sum = _curvature_sum(query)
     else:
         bin_sum = bin_information_sum(query.psf, query.x0, query.n)
     return _checked_result(_law(query, bin_sum), "finite_n",
                            {"bin_sum": bin_sum})
+
+
+def _curvature_sum(query: ResolutionQuery) -> float:
+    """sum_i (int_i h'')^2, the information of the hg finite-n law."""
+    curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
+    return float(np.einsum("i,i->", curvature_bins, curvature_bins))
 
 
 def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
@@ -189,6 +195,13 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     start as diagnostics: "start", the law it came from, "start_law",
     and for poisson "rho". Every gap reads T's law at d, one cached
     ``models.statistic_law`` per separation.
+
+    The root's bracket grows from the finite-n law's d for hg and vsg,
+    and from the kernel's FWHM for poisson or where that law has no
+    information or lies below the grid step ROOT_GRID. A poisson gap
+    raises ModelAssumptionError where the pair fills bins that the null
+    leaves empty, and for a kernel narrower than a bin the vsg law's d
+    lies far past the root, among such pairs.
 
     For hg and vsg the start is that root and its law "normal": T is
     normal, so the closed form is exact. For poisson the CLT root misses
@@ -215,7 +228,17 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     def gap(d: float) -> float:
         return law(d).report(query.alpha).power - (1.0 - query.beta)
 
-    root = _power_root(gap, psf_fwhm(query.psf), window)
+    first = math.inf
+    if model.kind == "hg":
+        first = _law(query, _curvature_sum(query))
+    elif model.kind == "vsg":
+        # p0 of the null bins integrated once
+        first = _law(query, _information_sum(
+            bin_curvature_integrals(query.psf, query.x0, query.n),
+            profiles(0.0).p0))
+    if not ROOT_GRID <= first < math.inf:
+        first = psf_fwhm(query.psf)
+    root = _power_root(gap, first, window)
     start = {"start": root or window, "start_law": "normal"}
     if model.kind != "poisson":
         return profiles, gap, window, root, start
@@ -248,8 +271,9 @@ def _power_root(gap, first: float, cap: float) -> float | None:
     """First point of the grid k * ROOT_GRID, at most ``cap``, whose gap is
     >= 0, or None when the gap at the cap is < 0.
 
-    The bracket grows from min(first, cap), the kernel's FWHM or a nearby
-    root, by MC_EXPANSION_FACTOR up to the first end past the root.
+    The bracket grows from min(first, cap), the finite-n law's d, the
+    kernel's FWHM or a nearby root, by MC_EXPANSION_FACTOR up to the
+    first end past the root.
     Illinois steps on k (Dowell & Jarratt, BIT 1971) close it: each probe
     is the grid point nearest the secant root, strictly inside the
     bracket, and an end kept twice in a row has its gap halved. The search
@@ -441,7 +465,7 @@ def acuna_power(psf: PsfModel, x0: float, gamma: float, n: int, t: float,
         raise ParameterError("illumination time t must be >= 1")
     bin_sum = bin_information_sum(replace(psf, background=gamma), x0, n)
     shift = math.sqrt(bin_sum) * d * d * math.sqrt(t) / 8.0
-    return float(ndtr(float(ndtri(alpha)) + shift))
+    return normal.cdf(normal.quantile(alpha) + shift)
 
 
 def detection_boundary(model: NoiseModel, fwhm: float, t: float, n: int,

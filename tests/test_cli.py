@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process."""
 
+import ast
 import json
 import math
 import os
@@ -773,15 +774,84 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 def test_cli_import_loads_no_heavy_dependency():
     # the thread pool is imported by the code that uses it, not by building
-    # the parser; scipy.stats, scipy.integrate and scipy.optimize not at all.
-    # (concurrent.futures itself comes in with scipy.special's numpy.testing)
-    deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize",
-                "concurrent.futures.thread")
+    # the parser, and no scipy module is imported at all
     proc = run_fresh("-c", "import sys, statres.cli; "
                      "statres.cli.build_parser(); "
-                     f"print([m for m in {deferred!r} if m in sys.modules])")
+                     "print([m for m in sys.modules if m == "
+                     "'concurrent.futures.thread' or m.split('.')[0] == "
+                     "'scipy'])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SCIPY_MODULES = ("import sys\n"
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+
+
+def test_gaussian_and_poisson_commands_load_no_scipy():
+    # the normal law comes from statres.normal, so only an airy kernel,
+    # for its Bessel functions, needs scipy
+    runs = [["resolve", "--method", method, "--model", model]
+            for method in ("exact", "mc") for model in ("poisson", "vsg",
+                                                        "hg")]
+    runs += [["simulate", "--sweep", "fwhm", "--reps", "1000"],
+             ["check", "--clt"], ["power", "--d", "0.15"]]
+    proc = run_fresh("-c", "import contextlib, io, statres.cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    codes = [statres.cli.main(a) for a in {runs!r}]\n"
+                     "print(codes)\n" + SCIPY_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.splitlines()
+    assert codes == str([0] * len(runs))
+    assert loaded == "[]"
+
+
+def test_airy_kernel_loads_scipy_special_only():
+    # without a background the airy information integral diverges and the
+    # command exits 4 before any Bessel function is called
+    proc = run_fresh("-c", "import contextlib, io, statres.cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    code = statres.cli.main(['resolve', '--psf',\n"
+                     "                             'airy:0.2', '--gamma',\n"
+                     "                             '0.2'])\n"
+                     "print(code)\n" + SCIPY_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()
+    assert code == "0"
+    subpackages = {m.split(".")[1] for m in ast.literal_eval(loaded)
+                   if "." in m}
+    assert "special" in subpackages
+    # beside scipy.special, only the private modules it imports itself
+    assert all(name.startswith("_")
+               for name in subpackages - {"special", "version"})
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_error_rate_of_1e_300_exits_3_with_one_line(capsys, flag):
+    # 1 - 1e-300 rounds to 1, whose normal quantile is inf, so the
+    # small-d law puts d at inf
+    code, out, err = run(capsys, ["resolve", flag, "1e-300"])
+    assert code == 3 and out == ""
+    assert err == ("error: critical separation inf does not fit the unit "
+                   "window\n")
+
+
+def test_subnormal_bin_ratio_does_not_overflow():
+    # p0 = 6.5e-310 against p1 = 0.5 in one bin: log p1 - log p0 = 711.2
+    # is finite although p1 / p0 overflows; the query then meets a bin
+    # that only the alternative fills, which the poisson support rule
+    # rejects with exit 4, in one line
+    proc = run_fresh("-m", "statres.cli", "scan", "--model", "poisson",
+                     "--kind", "lambda", "--psf", "gaussian:0.002313",
+                     "--n", "20", "--t", "5.651e+08", "--x0", "0.663",
+                     "--q-weight", "0.327", "--alpha", "0.246",
+                     "--eta", "0.626")
+    assert "RuntimeWarning" not in proc.stderr
+    if proc.returncode:
+        assert proc.returncode in (2, 3, 4) and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
 
 def test_kernel_integrals_load_no_scipy_integrate():

@@ -222,12 +222,12 @@ def test_mc_resolution_starts_at_the_analytic_separation(sigma, t):
 # two seeded hg/vsg searches, their d pinned as float.hex
 NORMAL_TRAJECTORIES = {
     ("vsg", "analytic", 0): [
-        ("0x1.73241f8d28000p-3", 0.108), ("0x1.77533f581c05cp-3", 0.088),
-        ("0x1.753baf72a202ep-3", 0.108), ("0x1.764777655f045p-3", 0.09),
-        ("0x1.75c1936c0083ap-3", 0.086), ("0x1.757ea16f51434p-3", 0.098)],
+        ("0x1.73241f8d28000p-3", 0.108), ("0x1.77533f581c062p-3", 0.088),
+        ("0x1.753baf72a2031p-3", 0.108), ("0x1.764777655f04ap-3", 0.09),
+        ("0x1.75c1936c0083ep-3", 0.086), ("0x1.757ea16f51438p-3", 0.098)],
     ("hg", "h0-calibrated", 2): [
         ("0x1.49153c1be8000p-3", 0.138), ("0x1.59b9a00eefc1ap-3", 0.076),
-        ("0x1.4baf87f47a536p-3", 0.098)],
+        ("0x1.4baf87f47a51ep-3", 0.098)],
 }
 
 
@@ -286,9 +286,9 @@ def test_poisson_start_stays_at_the_clt_root_above_the_rho_bound():
 
 # the default Poisson query: its Edgeworth start and rho, and the seeded
 # search's d and iterations, pinned as float.hex
-POISSON_RHO = "0x1.bcee047522e40p-2"
+POISSON_RHO = "0x1.bcee047522e3ep-2"
 POISSON_SEARCHES = {
-    "analytic": ("0x1.74cf697ba8000p-3", "0x1.7379bc290b341p-3", 1),
+    "analytic": ("0x1.74cf697ba8000p-3", "0x1.7210e4a957f53p-3", 1),
     "h0-calibrated": ("0x1.74fd611a08000p-3", "0x1.74fd611a08000p-3", 0),
 }
 
@@ -334,9 +334,10 @@ def test_power_slope_stays_inside_the_window():
 def record_kernel_centers(monkeypatch):
     centers = []
     original = binning._kernel_bins
+    # a pair's two sources come in one call
     monkeypatch.setattr(binning, "_kernel_bins",
-                        lambda psf, center, edges: centers.append(center)
-                        or original(psf, center, edges))
+                        lambda psf, sources, edges: centers.extend(sources)
+                        or original(psf, sources, edges))
     return centers
 
 
@@ -344,8 +345,10 @@ def test_exact_resolution_integrates_the_null_once(monkeypatch):
     centers = record_kernel_centers(monkeypatch)
     result = exact_resolution(make_query("vsg", t=20.0, n=20, x0=0.45))
     assert centers.count(0.45) == 1
-    # the two alternative sources of every d > 0 evaluated, no more
-    assert len(centers) == 1 + 2 * (result.diagnostics["iterations"] - 1)
+    # the two alternative sources of every d evaluated, no more: the
+    # bracket grows from the finite-n law's d, below the root, so d = 0
+    # is never evaluated
+    assert len(centers) == 1 + 2 * result.diagnostics["iterations"]
 
 
 def test_mc_resolution_integrates_the_null_once(monkeypatch):
