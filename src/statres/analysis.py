@@ -70,7 +70,8 @@ def criterion_alpha(criterion: str, t: float) -> float:
     if not t >= 1.0:
         raise ParameterError("illumination time t must be >= 1")
     z = (CRITERION_RATIOS[criterion] / BOUNDARY_COEFF) ** 2 * math.sqrt(t)
-    return 1.0 - normal.cdf(z)
+    # Phi(-z), not 1 - Phi(z), which reads 0 from z = 8.3 on
+    return normal.cdf(-z)
 
 
 def sted_improvement(ratio: float) -> float:

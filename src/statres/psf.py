@@ -22,20 +22,18 @@ to the kernel's mass in a set of bins: differences of normal tails for a
 Gaussian, the quadrature for an Airy pattern. Bin probabilities and the
 mass fraction inside [0, 1] both come from it.
 
-Only the Airy pattern needs scipy, for its Bessel functions; the first
-Airy call imports ``scipy.special`` (``_bessel``), and a Gaussian kernel
-never does.
+The Airy pattern's Bessel functions come from ``statres.bessel``, whose
+table the first Airy call builds; no kernel needs scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import normal
+from . import bessel, normal
 from .exceptions import ModelAssumptionError, ParameterError
 from .quadrature import integrate_bins
 
@@ -107,25 +105,15 @@ class PsfModel:
         return cls(kind="airy", fwhm=fwhm, background=background)
 
 
-@functools.cache
-def _bessel() -> tuple:
-    """scipy.special's j1 and jv, imported on the first Airy call."""
-    from scipy.special import j1, jv
-    return j1, jv
-
-
 def kernel_value(psf: PsfModel, u) -> np.ndarray:
     """Kernel h(u) without the background pedestal. Vectorized in u."""
     u = np.asarray(u, dtype=float)
     if psf.kind == "gaussian":
         s = psf.sigma
         return np.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-    scale = AIRY_FWHM_U / psf.fwhm
-    v = scale * u
-    ratio = np.ones_like(v)
-    j1, _ = _bessel()
-    np.divide(2.0 * j1(v), v, out=ratio, where=v != 0.0)
-    return ratio ** 2
+    g = bessel.airy_g(u, AIRY_FWHM_U / psf.fwhm)
+    g *= g
+    return g
 
 
 def eval_psf(psf: PsfModel, u) -> np.ndarray:
@@ -137,20 +125,12 @@ def _airy_amplitude(psf: PsfModel, u) -> tuple:
     """Scale s = dv/du and g(v) = 2 J1(v)/v with its first two v-derivatives.
 
     The Bessel identities (J1(v)/v)' = -J2(v)/v and J2' = J1 - 2 J2/v
-    (DLMF 10.6) give g' = -2 J2/v and g'' = 6 J2/v^2 - 2 J1/v. Below
-    |v| = 1e-8 the series 1, -v/4, -1/4 are exact in double precision
-    (and J2(v) underflows below 1e-151).
+    (DLMF 10.6) give, with G = 2 J1(v)/v and H = J2(v)/v^2 from
+    ``statres.bessel``, g = G, g' = -2 v H and g'' = 6 H - G.
     """
     scale = AIRY_FWHM_U / psf.fwhm
-    v = scale * np.asarray(u, dtype=float)
-    small = np.abs(v) < 1e-8
-    w = np.where(small, 1.0, v)
-    j1, jv = _bessel()
-    b1, b2 = j1(w), jv(2, w)
-    g = np.where(small, 1.0, 2.0 * b1 / w)
-    dg = np.where(small, -0.25 * v, -2.0 * b2 / w)
-    d2g = np.where(small, -0.25, 6.0 * b2 / w ** 2 - 2.0 * b1 / w)
-    return scale, g, dg, d2g
+    g, h = bessel.airy_gh(u, scale)
+    return scale, g, -2.0 * scale * u * h, 6.0 * h - g
 
 
 def psf_first_derivative(psf: PsfModel, u) -> np.ndarray:

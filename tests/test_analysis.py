@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 
-from statres.analysis import (FitResult, SweepSpec, criterion_alpha,
+from statres.analysis import (BOUNDARY_COEFF, CRITERION_RATIOS, FitResult,
+                              SweepSpec, criterion_alpha,
                               hardest_alternative_scan,
                               riemann_convergence_check, simulation_sweep,
                               sted_improvement, table1, weight_scan)
@@ -68,6 +70,23 @@ def test_criterion_alpha_decays_with_time():
         assert all(a > b for a, b in zip(values, values[1:]))
     # the rayleigh distance is longer, hence easier: smaller alpha
     assert criterion_alpha("rayleigh", 20) < criterion_alpha("abbe", 20)
+
+
+def test_criterion_alpha_keeps_its_digits_in_the_far_tail():
+    # the level is the lower normal tail Phi(-z), z growing as sqrt(t): it
+    # stays positive and strictly decreasing until Phi(-z) leaves the
+    # doubles near z = 38.5 (t = 6.7e3 for abbe, 3.0e3 for rayleigh), and
+    # agrees with scipy's ndtr(-z) up to t = 1e10
+    for criterion, ratio in CRITERION_RATIOS.items():
+        times = np.geomspace(1e2, 1e10, 161)
+        z = (ratio / BOUNDARY_COEFF) ** 2 * np.sqrt(times)
+        levels = np.array([criterion_alpha(criterion, t) for t in times])
+        assert_allclose(levels, ndtr(-z), rtol=1e-12, atol=0.0)
+        normal_range = levels[ndtr(-z) > 1e-300]
+        assert normal_range.size > 20
+        assert np.all(normal_range > 0.0)
+        assert np.all(np.diff(normal_range) < 0.0)
+        assert np.all(np.diff(levels) <= 0.0)
 
 
 def test_criterion_alpha_validation():

@@ -1,6 +1,5 @@
 """End-to-end command-line checks, run in process."""
 
-import ast
 import json
 import math
 import os
@@ -774,14 +773,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 def test_cli_import_loads_no_heavy_dependency():
     # the thread pool is imported by the code that uses it, not by building
-    # the parser, and no scipy module is imported at all
+    # the parser, no scipy module is imported at all, and the Bessel table
+    # waits for the first airy call
     proc = run_fresh("-c", "import sys, statres.cli; "
                      "statres.cli.build_parser(); "
                      "print([m for m in sys.modules if m == "
                      "'concurrent.futures.thread' or m.split('.')[0] == "
-                     "'scipy'])")
+                     "'scipy'], statres.bessel._taylor_table.cache_info()"
+                     ".currsize)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0"
 
 
 SCIPY_MODULES = ("import sys\n"
@@ -789,14 +790,18 @@ SCIPY_MODULES = ("import sys\n"
                  "if m.split('.')[0] == 'scipy'))")
 
 
+AIRY_RUNS = [["resolve", "--psf", "airy:0.2", "--gamma", "0.2"],
+             ["check", "--riemann", "--psf", "airy:0.2", "--gamma", "0.2"]]
+
+
 def test_gaussian_and_poisson_commands_load_no_scipy():
-    # the normal law comes from statres.normal, so only an airy kernel,
-    # for its Bessel functions, needs scipy
+    # the normal law comes from statres.normal and the airy kernel's
+    # Bessel functions from statres.bessel, so no command needs scipy
     runs = [["resolve", "--method", method, "--model", model]
             for method in ("exact", "mc") for model in ("poisson", "vsg",
                                                         "hg")]
     runs += [["simulate", "--sweep", "fwhm", "--reps", "1000"],
-             ["check", "--clt"], ["power", "--d", "0.15"]]
+             ["check", "--clt"], ["power", "--d", "0.15"]] + AIRY_RUNS
     proc = run_fresh("-c", "import contextlib, io, statres.cli\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    codes = [statres.cli.main(a) for a in {runs!r}]\n"
@@ -807,24 +812,19 @@ def test_gaussian_and_poisson_commands_load_no_scipy():
     assert loaded == "[]"
 
 
-def test_airy_kernel_loads_scipy_special_only():
-    # without a background the airy information integral diverges and the
-    # command exits 4 before any Bessel function is called
+def test_airy_kernel_loads_no_scipy():
+    # an airy resolve evaluates its Bessel functions from the table of
+    # statres.bessel, which it builds, and imports no scipy module
     proc = run_fresh("-c", "import contextlib, io, statres.cli\n"
+                     "from statres import bessel\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
-                     "    code = statres.cli.main(['resolve', '--psf',\n"
-                     "                             'airy:0.2', '--gamma',\n"
-                     "                             '0.2'])\n"
-                     "print(code)\n" + SCIPY_MODULES)
+                     f"    code = statres.cli.main({AIRY_RUNS[0]!r})\n"
+                     "print(code, bessel._taylor_table.cache_info()"
+                     ".currsize)\n" + SCIPY_MODULES)
     assert proc.returncode == 0, proc.stderr
     code, loaded = proc.stdout.splitlines()
-    assert code == "0"
-    subpackages = {m.split(".")[1] for m in ast.literal_eval(loaded)
-                   if "." in m}
-    assert "special" in subpackages
-    # beside scipy.special, only the private modules it imports itself
-    assert all(name.startswith("_")
-               for name in subpackages - {"special", "version"})
+    assert code == "0 1"
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
