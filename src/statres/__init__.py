@@ -23,7 +23,7 @@ from .exceptions import (ConvergenceWarning, GeometryError,
                          UnsupportedMethodError)
 from .models import (NoiseModel, RngState, TestReport, exact_error_rates,
                      hg_mu, lrt_statistic, mc_error_rates,
-                     poisson_clt_report, sample_observations, vsg_nu)
+                     poisson_clt_report, vsg_nu)
 from .psf import (PsfModel, eval_psf, psf_fwhm, psf_second_derivative,
                   sted_narrow)
 from .resolution import (ResolutionQuery, ResolutionResult, acuna_power,
@@ -47,6 +47,6 @@ __all__ = [
     "lrt_statistic", "mc_error_rates", "mc_resolution",
     "poisson_clt_report", "psf_fwhm",
     "psf_second_derivative", "resolve_query", "riemann_convergence_check",
-    "sample_observations", "simulation_sweep", "sted_improvement",
+    "simulation_sweep", "sted_improvement",
     "sted_narrow", "table1", "vsg_nu", "weight_scan",
 ]

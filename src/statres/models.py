@@ -37,8 +37,8 @@ Its CDF and quantile are Edgeworth and Cornish-Fisher forms, the normal
 law's where K_3 = K_4 = 0, and every closed-form level, power, threshold
 and standardization reads it.
 
-A Monte Carlo draw (``draw_statistic``) goes one of two routes, chosen
-by ``draw_route`` from the query alone:
+A Monte Carlo draw of T (``sample_observations``) goes one of two routes,
+chosen by ``draw_route`` from the query alone:
 
 * ``records``  each chunk of at most SAMPLE_CHUNK_VALUES variates (one per
                bin and record) is reduced to T before the next is drawn.
@@ -134,14 +134,6 @@ def _check_t(t: float) -> None:
         raise ParameterError("illumination time t must be finite and >= 1")
 
 
-def _resolve_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngState):
-        return rng.generator()
-    raise ParameterError("rng must be an RngState or numpy Generator")
-
-
 def draw_route(model: NoiseModel, p, t: float) -> str:
     """How a draw of T under bin probabilities p goes: "photons" for a
     Poisson draw whose expected photons per record, eta t sum(p), are at
@@ -155,29 +147,31 @@ def draw_route(model: NoiseModel, p, t: float) -> str:
     return "records"
 
 
-def sample_observations(model: NoiseModel, p, t: float, rng,
-                        reps: int | None = None,
-                        a: np.ndarray | None = None) -> np.ndarray:
-    """Draw one observation vector (or a reps-by-n matrix) for bin
-    probabilities p under the given model, or with coefficients ``a`` the
-    sums sum_i a_i Y_i of reps such records.
+def sample_observations(model: NoiseModel, probs: BinProbabilities,
+                        t: float, side: int, reps: int, rng: RngState,
+                        key: tuple = (), routes: set | None = None
+                        ) -> np.ndarray:
+    """T for reps records drawn under the null (side 0) or the alternative
+    (side 1) from the substream ``rng.generator(*key, side)``, adding its
+    route (``draw_route`` of the side's bins on T's support) to ``routes``.
 
-    Deterministic given the RngState: repeated calls with the same state
-    return the same draws. Records are drawn in row chunks of about
-    SAMPLE_CHUNK_VALUES variates into one reused buffer, so a Poisson draw
-    needs one chunk of integer counts as its only temporary. The generator
-    fills the rows in order, so the result equals a single full-size draw.
-
-    Without ``a``, each chunk is copied into the records. With ``a``, the
-    result has length reps and ``draw_route`` picks how it is drawn: on the
-    records route each chunk is summed row by row (``_bin_sum``) before
-    the next is drawn; on the photons route (``_photon_sums``) the records
-    are never formed and T sums a over each record's photons.
+    T = sum_i a_i (Y_i - c_i) with a, c and the support from
+    ``_statistic_terms``, so the draw holds one chunk of at most
+    SAMPLE_CHUNK_VALUES variates or photons plus the reps values of T,
+    whatever reps is. On the records route the records are drawn in row
+    chunks into one reused buffer, and each chunk is summed row by row
+    (``_bin_sum``) before the next is drawn; the generator fills the rows
+    in order, so the values equal ``lrt_statistic`` of one full reps-by-n
+    draw bit for bit, at any BLAS thread count. On the photons route
+    (``_photon_sums``) no record is formed, and the values do not depend
+    on the chunk size. Deterministic given the RngState.
     """
+    if reps < 100:
+        raise ParameterError("reps must be >= 100")
+    a, centre, support = _statistic_terms(model, probs, t)
     _check_t(t)
-    p = np.asarray(p, dtype=float)
-    lam = model.thinning * t * p.ravel()
-    gen = _resolve_generator(rng)
+    p = (probs.p1 if side else probs.p0)[support]
+    lam = model.thinning * t * p
     if model.kind == "poisson":
         if np.any(lam <= 0.0):
             raise ModelAssumptionError(
@@ -188,23 +182,27 @@ def sample_observations(model: NoiseModel, p, t: float, rng,
                 f"{POISSON_MAX_MEAN:.3g}, the largest that can be sampled")
     elif np.any(lam < 0.0):
         raise ModelAssumptionError("bin intensities must be >= 0")
-    rows = 1 if reps is None else reps
-    if a is not None and draw_route(model, p, t) == "photons":
-        return _photon_sums(gen, lam, rows, a)
-    shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
-    step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
-    out = np.empty((rows, lam.size) if a is None else rows)
-    buffer = np.empty((min(step, rows), lam.size))
-    for first in range(0, rows, step):
-        block = buffer[:min(step, rows - first)]
-        if model.kind == "poisson":
-            block[...] = gen.poisson(lam, size=block.shape)
-        else:
-            gen.standard_normal(out=block)
-            block += shift
-        out[first:first + len(block)] = (block if a is None
-                                         else _bin_sum(block, a))
-    return out.reshape(p.shape) if reps is None and a is None else out
+    route = draw_route(model, p, t)
+    if routes is not None:
+        routes.add(route)
+    gen = rng.generator(*key, side)
+    if route == "photons":
+        stats = _photon_sums(gen, lam, reps, a)
+    else:
+        shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
+        step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
+        stats = np.empty(reps)
+        buffer = np.empty((min(step, reps), lam.size))
+        for first in range(0, reps, step):
+            block = buffer[:min(step, reps - first)]
+            if model.kind == "poisson":
+                block[...] = gen.poisson(lam, size=block.shape)
+            else:
+                gen.standard_normal(out=block)
+                block += shift
+            stats[first:first + len(block)] = _bin_sum(block, a)
+    stats -= _bin_sum(centre, a)
+    return stats
 
 
 def _alias_table(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,34 +534,6 @@ THRESHOLD_MODES = ("analytic", "h0-calibrated")
 KS_BOUND = 0.03
 
 
-def draw_statistic(model: NoiseModel, probs: BinProbabilities, t: float,
-                   side: int, reps: int, rng: RngState, key: tuple = (),
-                   routes: set | None = None) -> np.ndarray:
-    """T for reps records drawn under the null (side 0) or the alternative
-    (side 1) from the substream ``rng.generator(*key, side)``, adding its
-    route (``draw_route`` of the side's bins on T's support) to ``routes``.
-
-    One ``sample_observations`` call draws sum_i a_i Y_i for the
-    coefficients a of T (``_statistic_terms``), and T subtracts
-    sum_i a_i c_i from it, so the draw holds one chunk of at most
-    SAMPLE_CHUNK_VALUES variates or photons plus the reps values of T,
-    whatever reps is. On the records route the values equal
-    ``lrt_statistic`` of the full reps-by-n draw bit for bit, at any BLAS
-    thread count; on the photons route (Poisson only, see ``draw_route``)
-    no record is formed, and the values do not depend on the chunk size.
-    """
-    if reps < 100:
-        raise ParameterError("reps must be >= 100")
-    a, centre, support = _statistic_terms(model, probs, t)
-    p = (probs.p1 if side else probs.p0)[support]
-    if routes is not None:
-        routes.add(draw_route(model, p, t))
-    stats = sample_observations(model, p, t, rng.generator(*key, side),
-                                reps=reps, a=a)
-    stats -= _bin_sum(centre, a)
-    return stats
-
-
 def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,
                  alpha: float, mode: str,
                  null: Callable[[], np.ndarray]) -> float:
@@ -591,11 +561,11 @@ def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
     the RngState.
     """
     rng = rng or RngState()
-    t0 = draw_statistic(model, probs, t, 0, reps, rng)
+    t0 = sample_observations(model, probs, t, 0, reps, rng)
     threshold = mc_threshold(model, probs, t, alpha, threshold_mode,
                              lambda: t0)
     level = float(np.mean(t0 > threshold))
-    t1 = draw_statistic(model, probs, t, 1, reps, rng)
+    t1 = sample_observations(model, probs, t, 1, reps, rng)
     power = float(np.mean(t1 > threshold))
     mc_se = math.sqrt(power * (1.0 - power) / reps)
     return TestReport(threshold=threshold, level=level, power=power,
@@ -630,7 +600,7 @@ def normality_check(model: NoiseModel, probs: BinProbabilities, t: float,
                                    "equal the single source's")
     records = []
     for side, (mean, var, _, _) in enumerate(law.cumulants):
-        stats = draw_statistic(model, probs, t, side, reps, rng)
+        stats = sample_observations(model, probs, t, side, reps, rng)
         ks = ks_normal_distance((stats - mean) / math.sqrt(var))
         records.append({"check": f"{model.kind}-normality",
                         "side": ("null", "alternative")[side],

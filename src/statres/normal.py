@@ -7,11 +7,12 @@ normal CDF, quantile or tail, and they all come from here:
                 in both tails.
 * ``quantile``  Phi^-1(p) by Wichura's AS241 (``statistics.NormalDist``),
                 with -inf at p = 0 and +inf at p = 1.
-* ``tail``      P(Z > |z|) = erfc(|z| / sqrt 2) / 2 on an array. Below
-                TAIL_VECTOR_SIZE values it calls ``math.erfc`` per value;
-                from there on numpy takes one Taylor step from a table
-                (``_erfc``), in some twenty array operations whatever the
-                length.
+* ``tail``      P(Z > |z|) = erfc(|z| / sqrt 2) / 2 on an array. On rows
+                (the last axis) shorter than TAIL_VECTOR_SIZE values it
+                calls ``math.erfc`` per value; from there on numpy takes
+                one Taylor step from a table (``_erfc``), in some twenty
+                array operations whatever the length. Either way a row's
+                values do not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 SQRT_HALF = math.sqrt(0.5)
-# shortest array whose tail numpy evaluates: below it one math.erfc call
+# shortest row whose tail numpy evaluates: below it one math.erfc call
 # per value is faster (BENCH_scipy_free.json, "tail_cutoff")
 TAIL_VECTOR_SIZE = 224
 # the table of ``_erfc``: nodes k / TABLE_STEP on [0, TABLE_END], past
@@ -51,12 +52,14 @@ def quantile(p: float) -> float:
 
 
 def tail(z: np.ndarray) -> np.ndarray:
-    """P(Z > |z|) for each value of the 1-d array z, which holds no nan:
-    0 far out and at +-inf."""
+    """P(Z > |z|) for each value of the 1-d or 2-d array z, which holds no
+    nan: 0 far out and at +-inf. The method goes by the row length, the
+    size of the last axis."""
     x = np.abs(z)
     x *= SQRT_HALF
-    if x.size < TAIL_VECTOR_SIZE:
-        out = np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    if x.shape[-1] < TAIL_VECTOR_SIZE:
+        out = np.fromiter(map(math.erfc, x.ravel().tolist()), float,
+                          x.size).reshape(x.shape)
     else:
         out = _erfc(x)
     out *= 0.5

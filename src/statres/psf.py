@@ -236,13 +236,14 @@ def _kernel_bins(psf: PsfModel, centers: tuple,
     """Kernel mass of a source at each of ``centers`` inside each bin
     between the ascending ``edges``, one row per center."""
     if psf.kind == "gaussian":
-        # one normal tail per edge and center, all in one call: with the
-        # tails right of the center negated, a bin is the difference of
-        # its edges' values, without cancellation, plus 1 in the bin that
-        # holds the center
+        # one normal tail per edge and center, all in one call whose
+        # method goes by the row length, so a row's bits do not depend on
+        # the other centers: with the tails right of the center negated, a
+        # bin is the difference of its edges' values, without
+        # cancellation, plus 1 in the bin that holds the center
         z = (edges - np.array(centers, dtype=float)[:, None]) / psf.sigma
         right = z > 0.0
-        tail = normal.tail(z.ravel()).reshape(z.shape)
+        tail = normal.tail(z)
         np.negative(tail, out=tail, where=right)
         bins = tail[:, 1:] - tail[:, :-1]
         bins += right[:, 1:] ^ right[:, :-1]

@@ -44,8 +44,8 @@ from .binning import (_information_sum, bin_curvature_integrals,
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, draw_statistic, mc_threshold,
-                     statistic_law)
+from .models import (NoiseModel, RngState, mc_threshold,
+                     sample_observations, statistic_law)
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -358,7 +358,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     (d, beta_hat) per probe, whose length is
     1 + expansions + iterations, the standard error ``mc_se`` of beta_hat
     and ``d_se`` = mc_se / |g'(d)|, its error carried to the reported d,
-    and as "draw" the routes the draws took (``draw_statistic``):
+    and as "draw" the routes the draws took (``sample_observations``):
     "photons", "records", or "photons+records" when the probes' profiles
     fall on both sides of the crossover. The null bins are integrated
     once, for the analytic start, the slopes and every draw alike. A
@@ -383,7 +383,8 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     model, t = query.model, query.t
 
     def draw(probs, side: int, key: tuple) -> np.ndarray:
-        return draw_statistic(model, probs, t, side, reps, rng, key, routes)
+        return sample_observations(model, probs, t, side, reps, rng, key,
+                                   routes)
 
     def type2(d: float, key: tuple) -> float:
         probs = profiles(d)

@@ -238,13 +238,17 @@ def test_bin_probabilities_type():
 @pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
 def test_pair_profiles_equal_bin_probabilities_bitwise(psf):
-    profiles = pair_profiles(psf, 0.4, 0.3, 37)
-    for d in (0.0, 0.01, 0.1, 0.3):
-        got = profiles(d)
-        want = bin_probabilities(psf, SourceConfig(0.4, d, 0.3), 37)
-        assert got.n == want.n
-        assert np.array_equal(got.p0, want.p0)
-        assert np.array_equal(got.p1, want.p1)
+    # the gaussian tails of n + 1 edges for one center (the null alone) and
+    # for three (null and pair) take the same method at every n: 80 and
+    # 150 lie where three rows reach the tail's vector size and one does not
+    for n in (37, 80, 150, 300):
+        profiles = pair_profiles(psf, 0.4, 0.3, n)
+        for d in (0.0, 0.01, 0.1, 0.3):
+            got = profiles(d)
+            want = bin_probabilities(psf, SourceConfig(0.4, d, 0.3), n)
+            assert got.n == want.n
+            assert np.array_equal(got.p0, want.p0)
+            assert np.array_equal(got.p1, want.p1)
 
 
 def test_pair_profiles_warn_only_for_the_reported_pair(recwarn):

@@ -158,13 +158,60 @@ def test_poisson_sweep_draw_count(capsys, monkeypatch):
     # the Edgeworth start lands in the band at every point of the default
     # fwhm sweep: one draw per solve, where a CLT start takes 22 draws
     draws = []
-    draw = resolution.draw_statistic
-    monkeypatch.setattr(resolution, "draw_statistic",
+    draw = resolution.sample_observations
+    monkeypatch.setattr(resolution, "sample_observations",
                         lambda *args: draws.append(args) or draw(*args))
     code, _, _ = run(capsys, ["simulate", "--sweep", "fwhm", "--models",
                               "poisson", "--seed", "1"])
     assert code == 0
     assert len(draws) <= 11
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The sides of every sample_observations call, wherever it is bound:
+    models for power and check, resolution for resolve."""
+    sides = []
+    original = statres.models.sample_observations
+
+    def counted(*args):
+        sides.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(statres.models, "sample_observations", counted)
+    monkeypatch.setattr(resolution, "sample_observations", counted)
+    return sides
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--method", "mc", "--d", "0.15"],
+    ["power", "--method", "mc", "--d", "0.15", "--threshold",
+     "h0-calibrated"],
+    ["check", "--clt"],
+    ["check", "--hg-normality"]])
+def test_power_and_check_draw_each_side_once(capsys, draws, argv):
+    # bench/smoke.py counts these two draws of check --clt on top of the
+    # resolve draws; the calibrated threshold reuses the null draw
+    code, _, _ = run(capsys, argv + ["--reps", "1000", "--seed", "1"])
+    assert code == 0
+    assert draws == [0, 1]
+
+
+@pytest.mark.parametrize("mode, per_probe", [("analytic", 1),
+                                             ("h0-calibrated", 2)])
+@pytest.mark.parametrize("model", ["poisson", "vsg", "hg"])
+def test_resolve_mc_draws_once_per_probe_and_side(capsys, draws, model,
+                                                  mode, per_probe):
+    # bench/worker.py reads 1 + expansions + iterations draws per analytic
+    # resolve from the meta lines
+    code, out, _ = run(capsys, ["resolve", "--method", "mc", "--model", model,
+                                "--threshold", mode, "--reps", "1000",
+                                "--seed", "1"])
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    probes = 1 + int(meta["expansions"]) + int(meta["iterations"])
+    assert len(draws) == per_probe * probes
+    assert draws.count(1) == probes
 
 
 def test_default_mc_resolve_stays_inside_the_window(capsys):

@@ -14,15 +14,16 @@ SCRIPT = """
 import hashlib
 from statres.binning import SourceConfig, bin_probabilities
 from statres.cli import main
-from statres.models import MODEL_KINDS, NoiseModel, RngState, draw_statistic
+from statres.models import (MODEL_KINDS, NoiseModel, RngState,
+                            sample_observations)
 from statres.psf import PsfModel
 
 psf = PsfModel.gaussian(0.0849, background=0.5)
 for n, reps in ((100, 20000), (333, 9000), (1000, 2500)):
     probs = bin_probabilities(psf, SourceConfig(x0=0.5, d=0.1), n)
     for kind in MODEL_KINDS:
-        stats = draw_statistic(NoiseModel(kind), probs, 1000.0, 1, reps,
-                               RngState(seed=1))
+        stats = sample_observations(NoiseModel(kind), probs, 1000.0, 1,
+                                    reps, RngState(seed=1))
         print(n, kind, hashlib.sha256(stats.tobytes()).hexdigest())
 commands = [["power", "--model", kind, "--n", "200000", "--t", "1000",
              "--d", "0.05"] for kind in MODEL_KINDS]

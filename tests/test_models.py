@@ -16,7 +16,7 @@ from statres.binning import (BinProbabilities, SourceConfig,
 from statres.exceptions import (ModelAssumptionError, ParameterError,
                                 UnsupportedMethodError)
 from statres.models import (MODEL_KINDS, NoiseModel, RngState, StatisticLaw,
-                            analytic_report, draw_statistic,
+                            analytic_report,
                             exact_error_rates, hg_mu, ks_normal_distance,
                             lrt_statistic, mc_error_rates,
                             poisson_clt_report, sample_observations,
@@ -35,6 +35,18 @@ QUANTILE_REFERENCE = {
 def make_probs(d=0.1, n=20, sigma=0.0849, gamma=0.0, q=0.5):
     psf = PsfModel.gaussian(sigma, background=gamma)
     return bin_probabilities(psf, SourceConfig(x0=0.5, d=d, weight_q=q), n)
+
+
+def draw_records(model, p, t, reps, gen):
+    # reps records of counts or readings under bin probabilities p, in one
+    # shot: the generator fills rows in order, so these are the variates
+    # that sample_observations reduces to T chunk by chunk on the records
+    # route of the same substream
+    lam = model.thinning * t * p
+    if model.kind == "poisson":
+        return gen.poisson(lam, size=(reps, lam.size)).astype(float)
+    shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
+    return gen.standard_normal((reps, lam.size)) + shift
 
 
 def test_noise_model_validation():
@@ -64,22 +76,27 @@ def test_rng_subkeys_give_distinct_streams():
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_sampling_is_deterministic(kind):
+    # the same RngState, side and key give the same T; another key does not
     probs = make_probs(gamma=0.5)
     model = NoiseModel(kind)
-    first = sample_observations(model, probs.p0, 20.0, RngState(seed=5),
-                                reps=50)
-    second = sample_observations(model, probs.p0, 20.0, RngState(seed=5),
-                                 reps=50)
+    first = sample_observations(model, probs, 20.0, 1, 500, RngState(seed=5))
+    second = sample_observations(model, probs, 20.0, 1, 500,
+                                 RngState(seed=5))
     assert np.array_equal(first, second)
-    assert first.shape == (50, probs.n)
+    assert first.shape == (500,)
+    other = sample_observations(model, probs, 20.0, 1, 500, RngState(seed=5),
+                                key=(0, 1))
+    assert not np.array_equal(first, other)
 
 
 def test_poisson_sample_moments():
+    # the records oracle draws the model's counts, so T of its records
+    # checks the library's draw (test_chunked_draw_statistic_equals_full_draw)
     probs = make_probs(gamma=0.5)
     lam = 1000.0 * probs.p0
     reps = 100000
-    y = sample_observations(NoiseModel("poisson"), probs.p0, 1000.0,
-                            RngState(seed=11), reps=reps)
+    y = draw_records(NoiseModel("poisson"), probs.p0, 1000.0, reps,
+                     RngState(seed=11).generator())
     se_mean = np.sqrt(lam / reps)
     assert np.all(np.abs(y.mean(axis=0) - lam) < 4.0 * se_mean)
     # Poisson variance equals the mean; its sampling error is about
@@ -91,8 +108,8 @@ def test_poisson_sample_moments():
 def test_gaussian_sample_moments():
     probs = make_probs()
     reps = 100000
-    y = sample_observations(NoiseModel("vsg"), probs.p0, 50.0,
-                            RngState(seed=13), reps=reps)
+    y = draw_records(NoiseModel("vsg"), probs.p0, 50.0, reps,
+                     RngState(seed=13).generator())
     assert_allclose(y.mean(axis=0), 2.0 * np.sqrt(50.0 * probs.p0),
                     atol=4.0 / math.sqrt(reps))
     assert_allclose(y.var(axis=0), 1.0, atol=0.02)
@@ -100,24 +117,17 @@ def test_gaussian_sample_moments():
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_chunked_draw_equals_one_shot_draw(kind, monkeypatch):
-    # row chunks of 3 rows (64 // 20) with a ragged last chunk
-    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
+    # row chunks of 3 rows (64 // 20) with a ragged last chunk of 2 give
+    # the bits of one chunk that holds every record; 300 photons over 20
+    # bins put the poisson draw on the records route too
     probs = make_probs(gamma=0.5)
-    lam = 30.0 * probs.p0
-    got = sample_observations(NoiseModel(kind), probs.p0, 30.0,
-                              RngState(seed=4), reps=50)
-    gen = RngState(seed=4).generator()
-    if kind == "poisson":
-        want = gen.poisson(lam, size=(50, probs.n)).astype(float)
-    elif kind == "vsg":
-        want = 2.0 * np.sqrt(lam) + gen.standard_normal((50, probs.n))
-    else:
-        want = lam + gen.standard_normal((50, probs.n))
+    model = NoiseModel(kind)
+    assert models.draw_route(model, probs.p1, 300.0) == "records"
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
+    got = sample_observations(model, probs, 300.0, 1, 500, RngState(seed=4))
+    monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 500 * probs.n)
+    want = sample_observations(model, probs, 300.0, 1, 500, RngState(seed=4))
     assert np.array_equal(got, want)
-    single = sample_observations(NoiseModel(kind), probs.p0, 30.0,
-                                 RngState(seed=4))
-    assert single.shape == (probs.n,)
-    assert np.array_equal(single, want[0])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -138,10 +148,10 @@ def test_chunked_draw_statistic_equals_full_draw(kind, chunk, n, reps,
     for side in (0, 1):
         p = probs.p1 if side else probs.p0
         assert models.draw_route(model, p, t) == "records"
-        got = draw_statistic(model, probs, t, side, reps, RngState(seed=6))
-        records = sample_observations(model, p, t,
-                                      RngState(seed=6).generator(side),
-                                      reps=reps)
+        got = sample_observations(model, probs, t, side, reps,
+                                  RngState(seed=6))
+        records = draw_records(model, p, t, reps,
+                               RngState(seed=6).generator(side))
         assert got.shape == (reps,)
         for order in ("C", "F"):
             want = lrt_statistic(model, probs, t,
@@ -197,9 +207,11 @@ def test_photon_draw_equals_a_one_shot_draw(t, monkeypatch):
         assert models.draw_route(model, p, t) == "photons"
         want, counts = _photon_oracle(t * p, a, reps,
                                       RngState(seed=8).generator(side))
-        got = draw_statistic(model, probs, t, side, reps, RngState(seed=8))
+        got = sample_observations(model, probs, t, side, reps,
+                                  RngState(seed=8))
         monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
-        small = draw_statistic(model, probs, t, side, reps, RngState(seed=8))
+        small = sample_observations(model, probs, t, side, reps,
+                                    RngState(seed=8))
         monkeypatch.undo()
         assert np.array_equal(got, want)
         assert np.array_equal(small, want)
@@ -219,7 +231,8 @@ def test_photon_draw_moments_match_statistic_moments(n, t, reps):
         mean, var = law.cumulants[side][:2]
         assert models.draw_route(model, probs.p1 if side else probs.p0,
                                  t) == "photons"
-        stats = draw_statistic(model, probs, t, side, reps, RngState(seed=7))
+        stats = sample_observations(model, probs, t, side, reps,
+                                    RngState(seed=7))
         centered = stats - stats.mean()
         var_se = math.sqrt(np.mean(centered ** 4) - var ** 2) / math.sqrt(reps)
         assert abs(stats.mean() - mean) < 4.0 * math.sqrt(var / reps)
@@ -246,7 +259,7 @@ def test_draw_route_reads_the_expected_photons_and_the_bins():
 def _draw_peak_bytes(model, probs, reps):
     tracemalloc.start()
     try:
-        draw_statistic(model, probs, 30.0, 1, reps, RngState(seed=2))
+        sample_observations(model, probs, 30.0, 1, reps, RngState(seed=2))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,42 +278,52 @@ def test_chunked_draw_memory_does_not_grow_with_reps(kind, monkeypatch):
 
 
 def test_chunked_draw_statistic_samples_once(monkeypatch):
-    # one sample_observations call per draw, however many chunks it spans:
-    # bench/worker.py cross-checks this count against the 1 + expansions
-    # + iterations probes of every traced Monte Carlo solve
+    # one sample_observations call per side, however many chunks its draw
+    # spans: bench/worker.py cross-checks this count against the
+    # 1 + expansions + iterations probes of every traced Monte Carlo solve
     monkeypatch.setattr(models, "SAMPLE_CHUNK_VALUES", 64)
-    calls = []
+    sides = []
     original = models.sample_observations
     monkeypatch.setattr(models, "sample_observations",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
-    stats = draw_statistic(NoiseModel("poisson"), make_probs(gamma=0.5),
-                           30.0, 0, 500, RngState(seed=1))
-    assert stats.shape == (500,)
-    assert len(calls) == 1
+                        lambda *a: sides.append(a[3]) or original(*a))
+    report = mc_error_rates(NoiseModel("poisson"), make_probs(gamma=0.5),
+                            300.0, 0.1, reps=500, rng=RngState(seed=1))
+    assert report.reps == 500
+    assert sides == [0, 1]
 
 
 def test_poisson_requires_positive_means():
-    probs = make_probs()  # no background, far bins are ~0 but positive
-    with pytest.raises(ModelAssumptionError):
-        sample_observations(NoiseModel("poisson"), np.array([0.0, 0.5]),
-                            10.0, RngState())
+    # T's support holds a bin of subnormal mass under both hypotheses, but
+    # eta t p rounds its photon mean to 0
+    p = np.array([5e-324, 0.5, 0.5])
+    probs = BinProbabilities(n=3, p0=p, p1=p[::-1].copy())
+    model = NoiseModel("poisson", thinning=0.5)
+    with pytest.raises(ModelAssumptionError, match="strictly positive"):
+        sample_observations(model, probs, 1.0, 0, 100, RngState())
 
 
 def test_poisson_means_stop_at_the_sampler_bound():
     # numpy's sampler draws a mean of 9.2e18 and rejects 1e19
-    model, p = NoiseModel("poisson"), np.array([0.5, 0.5])
-    assert sample_observations(model, p, 1.84e19, RngState()).shape == (2,)
+    model = NoiseModel("poisson")
+    probs = BinProbabilities(n=2, p0=np.array([0.5, 0.5]),
+                             p1=np.array([0.25, 0.75]))
+    assert sample_observations(model, probs, 1.84e19, 0, 100,
+                               RngState()).shape == (100,)
     with pytest.raises(ModelAssumptionError):
-        sample_observations(model, p, 2e19, RngState())
+        sample_observations(model, probs, 2e19, 0, 100, RngState())
 
 
 def test_thinned_sampling_matches_scaled_time():
+    # on the records route too the draw sees eta and t only through eta t
     probs = make_probs(gamma=0.2)
-    thin = sample_observations(NoiseModel("poisson", thinning=0.5),
-                               probs.p0, 20.0, RngState(seed=3), reps=100)
-    full = sample_observations(NoiseModel("poisson"), probs.p0, 10.0,
-                               RngState(seed=3), reps=100)
-    assert np.array_equal(thin, full)
+    thin, full = NoiseModel("poisson", thinning=0.5), NoiseModel("poisson")
+    for side in (0, 1):
+        assert models.draw_route(thin, probs.p0, 2000.0) == "records"
+        assert np.array_equal(
+            sample_observations(thin, probs, 2000.0, side, 100,
+                                RngState(seed=3)),
+            sample_observations(full, probs, 1000.0, side, 100,
+                                RngState(seed=3)))
 
 
 def test_thinned_photon_draw_matches_scaled_time():
@@ -311,16 +334,19 @@ def test_thinned_photon_draw_matches_scaled_time():
     for side in (0, 1):
         assert models.draw_route(thin, probs.p0, 80.0) == "photons"
         assert np.array_equal(
-            draw_statistic(thin, probs, 80.0, side, 300, RngState(seed=3)),
-            draw_statistic(full, probs, 20.0, side, 300, RngState(seed=3)))
+            sample_observations(thin, probs, 80.0, side, 300,
+                                RngState(seed=3)),
+            sample_observations(full, probs, 20.0, side, 300,
+                                RngState(seed=3)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_statistic_is_zero_when_hypotheses_coincide(kind):
     probs = make_probs(d=0.0, gamma=0.3)
-    y = sample_observations(NoiseModel(kind), probs.p0, 20.0,
-                            RngState(seed=1), reps=10)
-    stats = lrt_statistic(NoiseModel(kind), probs, 20.0, y)
+    model = NoiseModel(kind)
+    y = draw_records(model, probs.p0, 20.0, 10, RngState(seed=1).generator())
+    assert_allclose(lrt_statistic(model, probs, 20.0, y), 0.0, atol=1e-12)
+    stats = sample_observations(model, probs, 20.0, 0, 100, RngState(seed=1))
     assert_allclose(stats, 0.0, atol=1e-12)
 
 
@@ -392,7 +418,7 @@ def assert_padding_changes_nothing(probs, padded, left=3, right=2):
                               threshold_mode=mode) == \
             mc_error_rates(model, probs, 20.0, 0.1, reps=500,
                            rng=RngState(seed=3), threshold_mode=mode)
-    y = sample_observations(model, probs.p1, 20.0, RngState(seed=5), reps=4)
+    y = draw_records(model, probs.p1, 20.0, 4, RngState(seed=5).generator())
     assert np.array_equal(
         lrt_statistic(model, padded, 20.0,
                       np.pad(y, ((0, 0), (left, right)))),
@@ -421,14 +447,14 @@ def test_poisson_one_sided_bin_drops_out_below_photon_mean_two_to_minus_53():
     probs = make_probs(d=0.12, gamma=0.2)
     model = NoiseModel("poisson", thinning=0.5)
     edge = 2.0 ** -53
-    y = np.pad(sample_observations(model, probs.p1, 32.0, RngState(seed=5)),
-               (3, 2))
+    y = np.pad(draw_records(model, probs.p1, 32.0, 1,
+                            RngState(seed=5).generator())[0], (3, 2))
     for mean in (edge, 2.0 * edge, 1.0):
         padded = pad_with_one_sided_bins(probs, mean / 16.0)
         with pytest.raises(ModelAssumptionError):
             statistic_law(model, padded, 32.0)
         with pytest.raises(ModelAssumptionError):
-            draw_statistic(model, padded, 32.0, 0, 100, RngState())
+            sample_observations(model, padded, 32.0, 0, 100, RngState())
         with pytest.raises(ModelAssumptionError):
             lrt_statistic(model, padded, 32.0, y)
     padded = pad_with_one_sided_bins(probs, np.nextafter(edge, 0.0) / 16.0)
@@ -548,8 +574,8 @@ def test_statistic_moments_match_simulation(kind):
     law = statistic_law(model, probs, t)
     for side in (0, 1):
         mean, var = law.cumulants[side][:2]
-        stats = draw_statistic(model, probs, t, side, reps,
-                               RngState(seed=11))
+        stats = sample_observations(model, probs, t, side, reps,
+                                    RngState(seed=11))
         centered = stats - stats.mean()
         var_se = math.sqrt(np.mean(centered ** 4) - var ** 2) / math.sqrt(reps)
         assert abs(stats.mean() - mean) < 4.0 * math.sqrt(var / reps)
@@ -696,10 +722,9 @@ def test_h0_calibrated_threshold_holds_level_out_of_sample():
     # in-sample level is alpha by construction, up to order-statistic
     # granularity
     assert abs(mc.level - 0.1) <= 1.0 / reps + 1e-12
-    fresh = sample_observations(model, probs.p0, t,
-                                RngState(seed=777).generator(), reps=reps)
-    held_out = float(np.mean(
-        lrt_statistic(model, probs, t, fresh) > mc.threshold))
+    fresh = sample_observations(model, probs, t, 0, reps,
+                                RngState(seed=777))
+    held_out = float(np.mean(fresh > mc.threshold))
     assert abs(held_out - 0.1) < 4.0 * math.sqrt(0.1 * 0.9 / reps)
 
 
@@ -711,12 +736,10 @@ def test_statistic_normality_under_both_hypotheses():
     model = NoiseModel("hg")
     m = hg_mu(probs, t)
     reps = 10000
-    y0 = sample_observations(model, probs.p0, t, RngState(seed=8),
-                             reps=reps)
+    y0 = draw_records(model, probs.p0, t, reps, RngState(seed=8).generator())
     z0 = (lrt_statistic(model, probs, t, y0) + m) / math.sqrt(2.0 * m)
     assert kstest(z0, "norm").statistic < 0.02
-    y1 = sample_observations(model, probs.p1, t, RngState(seed=9),
-                             reps=reps)
+    y1 = draw_records(model, probs.p1, t, reps, RngState(seed=9).generator())
     z1 = (lrt_statistic(model, probs, t, y1) - m) / math.sqrt(2.0 * m)
     assert kstest(z1, "norm").statistic < 0.02
 

@@ -54,7 +54,8 @@ def parent_bins(sigma, center, edges):
 
 
 @pytest.mark.parametrize("n,sigma", [
-    (20, 0.005), (20, 0.0849), (20, 0.3), (200, 0.02), (200, 0.3),
+    (20, 0.005), (20, 0.0849), (20, 0.3), (80, 0.0849), (200, 0.02),
+    (200, 0.3),
     (1000, 0.005), (1000, 0.0849)])
 def test_gaussian_bins_match_the_scipy_formula(n, sigma):
     # a center inside a bin, one on an edge (0.5), and a pair in one call;
@@ -68,12 +69,10 @@ def test_gaussian_bins_match_the_scipy_formula(n, sigma):
         kept = want > 1e-290
         assert np.all(np.abs(got - want)[kept] <= 1e-13 * want[kept])
         assert np.all(got[~kept] <= 1e-290)
-        # a row does not depend on the rows beside it when the call with
-        # them and the call without take the same branch of the tail
+        # a row does not depend on the rows beside it: the tail's method
+        # goes by the row length
         alone = _kernel_bins(PsfModel.gaussian(sigma), (center,), edges)[0]
-        if 3 * (n + 1) < normal.TAIL_VECTOR_SIZE or \
-                n + 1 >= normal.TAIL_VECTOR_SIZE:
-            assert np.array_equal(alone, got)
+        assert np.array_equal(alone, got)
 
 
 def test_quantile_matches_ndtri():

@@ -193,8 +193,8 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     # no analytic crossing inside the window: the Monte Carlo search
     # starts at the window's end and gives up after its first draw
     draws = []
-    original = models.sample_observations
-    monkeypatch.setattr(models, "sample_observations",
+    original = resolution.sample_observations
+    monkeypatch.setattr(resolution, "sample_observations",
                         lambda *a, **k: draws.append(1) or original(*a, **k))
     with pytest.warns(Warning):
         with pytest.raises(NoResolutionError):
@@ -264,9 +264,10 @@ def test_poisson_start_lands_in_the_band(mode):
         rng = RngState(seed=3)
         threshold = models.mc_threshold(
             query.model, probs, query.t, query.alpha, mode,
-            lambda: models.draw_statistic(query.model, probs, query.t, 0,
-                                          reps, rng))
-        t1 = models.draw_statistic(query.model, probs, query.t, 1, reps, rng)
+            lambda: models.sample_observations(query.model, probs, query.t,
+                                               0, reps, rng))
+        t1 = models.sample_observations(query.model, probs, query.t, 1, reps,
+                                        rng)
         rates.append(float(np.mean(t1 <= threshold)))
     assert 0.95 * query.beta <= rates[0] < 1.05 * query.beta
     assert rates[1] < 0.95 * query.beta - 3.0 * se
@@ -440,8 +441,8 @@ def test_mc_search_draws_once_per_probe_and_side(monkeypatch, mode,
     # the Newton slope comes from the closed form, so a probe draws the
     # alternative, plus the null only to calibrate its threshold
     calls = []
-    original = resolution.draw_statistic
-    monkeypatch.setattr(resolution, "draw_statistic",
+    original = resolution.sample_observations
+    monkeypatch.setattr(resolution, "sample_observations",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     longest = 0
     for seed in range(4):
@@ -552,7 +553,7 @@ def test_mc_resolution_rejects_a_band_without_a_reachable_rate(monkeypatch):
     # at reps 200, beta_hat moves in steps of 0.005, and the band
     # [0.040565, 0.044835) of beta 0.0427 holds none of them: no draw
     draws = []
-    monkeypatch.setattr(resolution, "draw_statistic",
+    monkeypatch.setattr(resolution, "sample_observations",
                         lambda *args: draws.append(args))
     with pytest.raises(ParameterError, match="no multiple of 1/reps"):
         mc_resolution(make_query("vsg", beta=0.0427), reps=200,
