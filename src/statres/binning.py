@@ -202,20 +202,28 @@ def bin_curvature_integrals(psf: PsfModel, x0: float, n: int) -> np.ndarray:
 
 
 def bin_information_sum(psf: PsfModel, x0: float, n: int) -> float:
-    """sum_i (int_i h'')^2 / p0_i, the n-bin form of the information
-    integral of h''^2 / (h + background) over [0, 1].
+    """The vsg ``finite_n_information``, the n-bin form of the information
+    integral of h''^2 / (h + background) over [0, 1]."""
+    return finite_n_information(psf, x0, n, "vsg")
 
-    p0 is the null profile of a source at x0, pedestal included. A bin
-    without null mass (the underflowed tail of a narrow kernel) drops out:
-    there (int_i h'')^2 / p0_i tends to 0 with p0_i, but reads 0/0 in
-    floats. The rule reads p0 alone, unlike the poisson statistic's
-    support, which reads both hypotheses (``models``).
+
+def finite_n_information(psf: PsfModel, x0: float, n: int, kind: str,
+                         null_bins: np.ndarray | None = None) -> float:
+    """The kernel information of model ``kind``'s finite-n law:
+    sum_i (int_i h'')^2 for hg, which integrates no kernel bin, and
+    sum_i (int_i h'')^2 / p0_i for poisson and vsg, with p0 the null
+    profile of a source at x0, pedestal included: ``null_bins`` plus the
+    pedestal when the caller holds the null's kernel bins, else
+    ``bin_probabilities``, which warns of truncation. A bin without null
+    mass (the underflowed tail of a narrow kernel) drops out: there
+    (int_i h'')^2 / p0_i tends to 0 with p0_i, but reads 0/0 in floats.
+    The rule reads p0 alone, unlike the poisson statistic's support,
+    which reads both hypotheses (``models``).
     """
-    null = bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
-    return _information_sum(bin_curvature_integrals(psf, x0, n), null)
-
-
-def _information_sum(curvature_bins: np.ndarray, null: np.ndarray) -> float:
-    """sum_i curvature_bins_i^2 / null_i over the bins with null mass."""
+    curvature_bins = bin_curvature_integrals(psf, x0, n)
+    if kind == "hg":
+        return float(np.einsum("i,i->", curvature_bins, curvature_bins))
+    null = (bin_probabilities(psf, SourceConfig(x0=x0, d=0.0), n).p0
+            if null_bins is None else null_bins + psf.background / n)
     mass = null > 0.0
     return float(np.sum(curvature_bins[mass] ** 2 / null[mass]))

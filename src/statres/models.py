@@ -27,7 +27,8 @@ photon in it rounds away against 1; any other such bin raises
 ModelAssumptionError.
 
 T = sum_i a_i (Y_i - c_i) is written once per model (``_statistic_terms``),
-and its law and m come from the same a. Every sum over bins is a
+and its law and m come from the same a; those terms alone judge the inputs
+of every statistic, law and draw. Every sum over bins is a
 row-by-row einsum (``_bin_sum``), never BLAS, so seeded results do not
 depend on the BLAS thread count.
 
@@ -129,11 +130,6 @@ class TestReport:
     reps: int = 0
 
 
-def _check_t(t: float) -> None:
-    if not 1.0 <= t < math.inf:
-        raise ParameterError("illumination time t must be finite and >= 1")
-
-
 def draw_route(model: NoiseModel, p, t: float) -> str:
     """How a draw of T under bin probabilities p goes: "photons" for a
     Poisson draw whose expected photons per record, eta t sum(p), are at
@@ -164,24 +160,18 @@ def sample_observations(model: NoiseModel, probs: BinProbabilities,
     in order, so the values equal ``lrt_statistic`` of one full reps-by-n
     draw bit for bit, at any BLAS thread count. On the photons route
     (``_photon_sums``) no record is formed, and the values do not depend
-    on the chunk size. Deterministic given the RngState.
+    on the chunk size. Deterministic given the RngState. Past T's terms
+    it checks only reps >= 100 and numpy's Poisson bound POISSON_MAX_MEAN.
     """
     if reps < 100:
         raise ParameterError("reps must be >= 100")
     a, centre, support = _statistic_terms(model, probs, t)
-    _check_t(t)
     p = (probs.p1 if side else probs.p0)[support]
     lam = model.thinning * t * p
-    if model.kind == "poisson":
-        if np.any(lam <= 0.0):
-            raise ModelAssumptionError(
-                "poisson model requires strictly positive bin means")
-        if np.any(lam > POISSON_MAX_MEAN):
-            raise ModelAssumptionError(
-                f"poisson bin mean {lam.max():.3g} is above "
-                f"{POISSON_MAX_MEAN:.3g}, the largest that can be sampled")
-    elif np.any(lam < 0.0):
-        raise ModelAssumptionError("bin intensities must be >= 0")
+    if model.kind == "poisson" and np.any(lam > POISSON_MAX_MEAN):
+        raise ModelAssumptionError(
+            f"poisson bin mean {lam.max():.3g} is above "
+            f"{POISSON_MAX_MEAN:.3g}, the largest that can be sampled")
     route = draw_route(model, p, t)
     if routes is not None:
         routes.add(route)
@@ -250,14 +240,17 @@ def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
     not depend on the chunk size. A record without photons has sum 0.
     """
     n = lam.size
-    prob, alias = _alias_table(lam)
-    # one gather reads a photon's coefficient:
-    # coeff[2k] = a[alias[k]], coeff[2k + 1] = a[k]
-    coeff = np.column_stack((a[alias], a)).ravel()
     mean = lam.sum()
     counts = gen.poisson(mean, size=reps)
     # a record's sum overwrites its count once its photons are summed
     out = counts.view(np.float64)
+    if not counts.any():
+        # every sum is 0 (as where eta t p rounds to 0): no alias table
+        return out
+    prob, alias = _alias_table(lam)
+    # one gather reads a photon's coefficient:
+    # coeff[2k] = a[alias[k]], coeff[2k + 1] = a[k]
+    coeff = np.column_stack((a[alias], a)).ravel()
     # one set of chunk buffers, reused: the loop allocates no photon array
     size = max(SAMPLE_CHUNK_VALUES, int(counts.max()))
     uniform, value = np.empty(size), np.empty(size)
@@ -303,14 +296,18 @@ def _statistic_terms(model: NoiseModel, probs: BinProbabilities, t: float):
     T = sum_i a_i (Y_i - c_i), and its support, the index of the bins that
     a and c cover: every bin for hg and vsg, where a is the difference of
     the two hypotheses' record means and c their midpoint; for poisson
-    (c = 0) the support rule of the module docstring, written only here."""
+    (c = 0) the support rule of the module docstring, written only here.
+    It alone judges a statistic's inputs: t finite and >= 1, and for hg
+    and vsg p >= 0."""
+    if not 1.0 <= t < math.inf:
+        raise ParameterError("illumination time t must be finite and >= 1")
     tau = model.thinning * t
     p0, p1 = probs.p0, probs.p1
+    if model.kind != "poisson" and (np.minimum(p0, p1) < 0.0).any():
+        raise ModelAssumptionError(f"{model.kind} model requires p >= 0")
     if model.kind == "hg":
         return tau * (p1 - p0), 0.5 * tau * (p0 + p1), slice(None)
     if model.kind == "vsg":
-        if (np.minimum(p0, p1) < 0.0).any():
-            raise ModelAssumptionError("vsg model requires p >= 0")
         root0, root1 = np.sqrt(p0), np.sqrt(p1)
         return (2.0 * math.sqrt(tau) * (root1 - root0),
                 math.sqrt(tau) * (root0 + root1), slice(None))
@@ -350,7 +347,6 @@ def lrt_statistic(model: NoiseModel, probs: BinProbabilities, t: float, y):
     matrix of either memory order. A Poisson bin outside T's support
     (``_statistic_terms``) is dropped from y before the sum.
     """
-    _check_t(t)
     coeff, centre, support = _statistic_terms(model, probs, t)
     y = np.asarray(y, dtype=float)[..., support]
     stat = _bin_sum(y, coeff) - _bin_sum(centre, coeff)
@@ -471,7 +467,6 @@ def statistic_law(model: NoiseModel, probs: BinProbabilities,
     of zero variance), the Berry-Esseen measure of T's distance from
     normal; one row-wise ``_bin_sum`` per side sums the stacked powers of
     a. Cumulants that overflow raise ModelAssumptionError."""
-    _check_t(t)
     a, _, support = _statistic_terms(model, probs, t)
     if model.kind == "poisson":
         a2, a3 = a * a, a * a * a
@@ -493,10 +488,10 @@ def statistic_law(model: NoiseModel, probs: BinProbabilities,
 
 def _lyapunov_ratio(k2: float, abs3: float) -> float:
     """abs3 / k2^(3/2): inf at k2 = 0, abs3 / k2 / sqrt(k2) past the range
-    of k2^(3/2)."""
+    of k2^(3/2), above it or below it."""
     try:
         return abs3 / k2 ** 1.5 if k2 else math.inf
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return abs3 / k2 / math.sqrt(k2)
 
 

@@ -39,8 +39,7 @@ from typing import Any
 import numpy as np
 
 from . import normal
-from .binning import (_information_sum, bin_curvature_integrals,
-                      bin_information_sum, pair_profiles)
+from .binning import bin_information_sum, finite_n_information, pair_profiles
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -167,18 +166,10 @@ def finite_n_resolution(query: ResolutionQuery) -> ResolutionResult:
         raise UnsupportedMethodError(
             "finite-n resolution is not defined for the poisson model; "
             "the vsg value is its large-t reference")
-    if query.model.kind == "hg":
-        bin_sum = _curvature_sum(query)
-    else:
-        bin_sum = bin_information_sum(query.psf, query.x0, query.n)
+    bin_sum = finite_n_information(query.psf, query.x0, query.n,
+                                   query.model.kind)
     return _checked_result(_law(query, bin_sum), "finite_n",
                            {"bin_sum": bin_sum})
-
-
-def _curvature_sum(query: ResolutionQuery) -> float:
-    """sum_i (int_i h'')^2, the information of the hg finite-n law."""
-    curvature_bins = bin_curvature_integrals(query.psf, query.x0, query.n)
-    return float(np.einsum("i,i->", curvature_bins, curvature_bins))
 
 
 def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
@@ -228,14 +219,9 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     def gap(d: float) -> float:
         return law(d).report(query.alpha).power - (1.0 - query.beta)
 
-    first = math.inf
-    if model.kind == "hg":
-        first = _law(query, _curvature_sum(query))
-    elif model.kind == "vsg":
-        # p0 of the null bins integrated once
-        first = _law(query, _information_sum(
-            bin_curvature_integrals(query.psf, query.x0, query.n),
-            profiles(0.0).p0))
+    first = math.inf if model.kind == "poisson" else _law(
+        query, finite_n_information(query.psf, query.x0, query.n,
+                                    model.kind, profiles.null_bins))
     if not ROOT_GRID <= first < math.inf:
         first = psf_fwhm(query.psf)
     root = _power_root(gap, first, window)

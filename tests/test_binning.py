@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.special import erf
 
 from statres.binning import (BinProbabilities, SourceConfig, bin_edges,
-                             bin_curvature_integrals, bin_probabilities,
+                             bin_curvature_integrals, bin_information_sum,
+                             bin_probabilities, finite_n_information,
                              pair_profiles)
 from statres.exceptions import (GeometryError, MassTruncationWarning,
                                 ParameterError)
@@ -272,3 +273,23 @@ def test_pair_profiles_check_the_null_mass_on_every_call():
     for d in (0.0, 0.0, 0.1):
         with pytest.warns(MassTruncationWarning):
             profiles(d)
+
+
+@pytest.mark.parametrize("psf", [PsfModel.gaussian(0.0849),
+                                 PsfModel.gaussian(0.002, background=0.0),
+                                 PsfModel.airy(0.2, background=0.2)])
+def test_finite_n_information_is_one_sum_for_every_caller(psf):
+    # the null bins a search holds give the bits of the null integrated
+    # afresh, bin_information_sum is the vsg sum, and hg's sum reads the
+    # curvature bins alone; the narrow gaussian's tail bins hold no null
+    # mass and drop out
+    for n in (20, 80):
+        held = pair_profiles(psf, 0.45, 0.5, n).null_bins
+        curvature = bin_curvature_integrals(psf, 0.45, n)
+        for kind in ("poisson", "vsg"):
+            got = finite_n_information(psf, 0.45, n, kind, held)
+            assert got == finite_n_information(psf, 0.45, n, kind)
+            assert got == bin_information_sum(psf, 0.45, n)
+            assert math.isfinite(got) and got > 0.0
+        assert finite_n_information(psf, 0.45, n, "hg", held) == \
+            float(np.einsum("i,i->", curvature, curvature))

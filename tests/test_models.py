@@ -292,14 +292,40 @@ def test_chunked_draw_statistic_samples_once(monkeypatch):
     assert sides == [0, 1]
 
 
-def test_poisson_requires_positive_means():
-    # T's support holds a bin of subnormal mass under both hypotheses, but
-    # eta t p rounds its photon mean to 0
+def test_poisson_draws_where_a_photon_mean_rounds_to_zero(monkeypatch):
+    # T's support holds bin 0, of subnormal mass under the null, but
+    # eta t p0 rounds its null photon mean to 0: that bin records no photon
     p = np.array([5e-324, 0.5, 0.5])
     probs = BinProbabilities(n=3, p0=p, p1=p[::-1].copy())
     model = NoiseModel("poisson", thinning=0.5)
-    with pytest.raises(ModelAssumptionError, match="strictly positive"):
-        sample_observations(model, probs, 1.0, 0, 100, RngState())
+    for side in (0, 1):
+        stats = sample_observations(model, probs, 1.0, side, 100, RngState())
+        assert stats.shape == (100,) and np.isfinite(stats).all()
+    # bin 0's coefficient log(0.5 / 5e-324) = 743.7, made nan in the photon
+    # sums: no null value carries it, while the alternative, of photon mean
+    # 0.25 in bin 0, reads it within 100 records
+    a0 = models._statistic_terms(model, probs, 1.0)[0][0]
+    assert a0 == pytest.approx(743.7, abs=0.1)
+    original = models._photon_sums
+    monkeypatch.setattr(
+        models, "_photon_sums",
+        lambda gen, lam, reps, a: original(gen, lam, reps,
+                                           np.append(np.nan, a[1:])))
+    null, alt = (sample_observations(model, probs, 1.0, side, 100, RngState())
+                 for side in (0, 1))
+    assert np.isfinite(null).all()
+    assert np.isnan(alt).any()
+
+
+def test_poisson_draw_without_photons_reads_zero():
+    # eta t p rounds to 0 in every bin, so no record holds a photon: the
+    # photons route builds no alias table from lam / sum(lam)
+    model = NoiseModel("poisson", thinning=5e-324)
+    probs = make_probs(gamma=0.1)
+    assert models.draw_route(model, probs.p0, 1.0) == "photons"
+    for side in (0, 1):
+        stats = sample_observations(model, probs, 1.0, side, 100, RngState())
+        assert np.array_equal(stats, np.zeros(100))
 
 
 def test_poisson_means_stop_at_the_sampler_bound():
@@ -377,6 +403,38 @@ def test_statistic_shapes():
     ym = np.ones((7, probs.n))
     out = lrt_statistic(NoiseModel("hg"), probs, 20.0, ym)
     assert out.shape == (7,)
+
+
+@pytest.mark.parametrize("kind", ["hg", "vsg"])
+def test_gaussian_statistic_needs_nonnegative_probabilities(kind):
+    # T's terms judge every statistic, law, report and draw alike
+    probs = make_probs(gamma=0.1)
+    p0 = probs.p0.copy()
+    p0[3] = -1e-3
+    bad = BinProbabilities(n=probs.n, p0=p0, p1=probs.p1)
+    model = NoiseModel(kind)
+    calls = (lambda: statistic_law(model, bad, 20.0),
+             lambda: analytic_report(model, bad, 20.0, 0.1),
+             lambda: lrt_statistic(model, bad, 20.0, np.ones(probs.n)),
+             lambda: sample_observations(model, bad, 20.0, 0, 100,
+                                         RngState()))
+    for call in calls:
+        with pytest.raises(ModelAssumptionError,
+                           match=f"^{kind} model requires p >= 0$"):
+            call()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("t", [0.5, math.inf, math.nan])
+def test_statistic_needs_finite_time_of_at_least_one(kind, t):
+    probs, model = make_probs(gamma=0.1), NoiseModel(kind)
+    calls = (lambda: statistic_law(model, probs, t),
+             lambda: lrt_statistic(model, probs, t, np.ones(probs.n)),
+             lambda: sample_observations(model, probs, t, 0, 100,
+                                         RngState()))
+    for call in calls:
+        with pytest.raises(ParameterError, match="illumination time t"):
+            call()
 
 
 def test_poisson_statistic_needs_positive_probabilities():
@@ -513,9 +571,13 @@ def test_poisson_cumulants_are_the_bin_sums(n):
         assert_allclose(cumulants[side], want, rtol=1e-12, atol=1e-12)
         sides.append(math.fsum(lam * np.abs(a) ** 3) / want[1] ** 1.5)
     assert_allclose(rho, max(sides), rtol=1e-12)
-    # rho falls as (eta t)^(-1/2), also where K_2^(3/2) overflows
+    # rho falls as (eta t)^(-1/2), also where K_2^(3/2) overflows or
+    # underflows to 0
     far = statistic_law(model, probs, 35.0e300)
     assert_allclose(far.rho * 1e150, rho, rtol=1e-12)
+    near = statistic_law(NoiseModel("poisson", thinning=0.6e-300), probs,
+                         35.0)
+    assert_allclose(near.rho / 1e150, rho, rtol=1e-12)
     # the CLT report reads K_1 and K_2 alone
     report = poisson_clt_report(probs, 35.0, 0.1, eta=0.6)
     (e0, v0, _, _), (e1, v1, _, _) = cumulants

@@ -363,6 +363,15 @@ def test_mc_resolution_integrates_the_null_once(monkeypatch):
     assert centers.count(start.x2) == 2
 
 
+@pytest.mark.parametrize("kind, integrated", [("hg", []), ("vsg", [0.45])])
+def test_finite_n_resolution_integrates_the_null_at_most_once(
+        kind, integrated, monkeypatch):
+    # hg's information sum_i (int_i h'')^2 needs no kernel bin at all
+    centers = record_kernel_centers(monkeypatch)
+    finite_n_resolution(make_query(kind, t=20.0, n=20, x0=0.45))
+    assert centers == integrated
+
+
 def test_library_solve_shows_a_warning_once():
     # in a fresh interpreter, so no earlier call has filled the registry
     # that shows a warning once
