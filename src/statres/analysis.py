@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import normal
-from .binning import SourceConfig, bin_information_sum, bin_probabilities
+from .binning import PairProfiles, bin_information_sum
 from .exceptions import GeometryError, ParameterError
 from .models import MODEL_KINDS, NoiseModel, RngState, analytic_report
 from .psf import PsfModel, fisher_integral
@@ -106,16 +106,16 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
     mirrored = [-v for v in reversed(lambdas)]
     if max(abs(a - b) for a, b in zip(lambdas, mirrored)) > 1e-12 * scale:
         raise ParameterError("offset grid must be symmetric about 0")
+    profiles = PairProfiles(psf, x0, 0.5, n)
     records = []
     best = (math.inf, math.nan)
     for lam in lambdas:
         try:
-            src = SourceConfig(x0=x0, d=d, weight_q=0.5, offset_lambda=lam)
+            probs = profiles(d, lam)
         except GeometryError:
             records.append({"offset_lambda": lam, "power": math.nan,
                             "feasible": False})
             continue
-        probs = bin_probabilities(psf, src, n)
         power = analytic_report(model, probs, t, alpha).power
         records.append({"offset_lambda": lam, "power": power,
                         "feasible": True})
@@ -123,6 +123,8 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
             best = (power, lam)
     if not math.isfinite(best[0]):
         raise ParameterError("no feasible offset in the grid")
+    profiles.warn_truncation(*((d, r["offset_lambda"]) for r in records
+                               if r["feasible"]), stacklevel=2)
     return records, best[1]
 
 

@@ -90,30 +90,27 @@ def bin_edges(n: int) -> np.ndarray:
 def bin_probabilities(psf: PsfModel, src: SourceConfig, n: int) -> BinProbabilities:
     """Integrate the null and alternative profiles over n equal bins.
 
-    Emits a MassTruncationWarning when any involved source keeps less than
-    99 percent of its kernel mass inside [0, 1]. Raises ParameterError for
-    n < 1, GeometryError if the configuration leaves the window (checked at
-    SourceConfig construction).
+    One call of a ``PairProfiles``. Emits a MassTruncationWarning when any
+    involved source keeps less than 99 percent of its kernel mass inside
+    [0, 1]. Raises ParameterError for n < 1, GeometryError if the
+    configuration leaves the window (checked at SourceConfig
+    construction).
     """
-    null_bins, *pair_bins = _kernel_bins(psf, (src.x0, *_pair(src)),
-                                         bin_edges(n))
-    probs = _profiles(psf, src, n, null_bins, pair_bins)
-    if _truncated(psf, null_bins, *pair_bins):
-        _warn_truncation(2)
+    profiles = PairProfiles(psf, src.x0, src.weight_q, n)
+    probs = profiles(src.d, src.offset_lambda)
+    profiles.warn_truncation((src.d, src.offset_lambda), stacklevel=3)
     return probs
 
 
-class _PairProfiles:
-    """``bin_probabilities`` of the centered pair as a function of d.
+class PairProfiles:
+    """The one builder of ``BinProbabilities``: p0 of a source at x0 and p1
+    of the pairs of weight q around it, over n equal bins.
 
-    The null bins do not depend on d, so a search over d integrates them
-    once, on construction; each call integrates the two alternative
-    sources only. A call warns when the null source is truncated, as
-    ``bin_probabilities`` does, but a pair that loses mass is only
-    recorded: a search probes pairs that it does not report, and
-    ``warn_truncation`` warns for the one it does. Every warning is issued
-    from one line, so a solve that calls the object from several places
-    warns once.
+    The null bins depend on neither d nor the offset, so they are
+    integrated once, on construction; each call integrates the two
+    alternative sources only. A call never warns: a search probes pairs
+    that it does not report, so a pair that loses mass is only recorded,
+    and ``warn_truncation`` warns for the pairs a caller reports.
     """
 
     def __init__(self, psf: PsfModel, x0: float, weight_q: float, n: int):
@@ -121,57 +118,33 @@ class _PairProfiles:
         self.edges = bin_edges(n)
         self.null_bins = _kernel_bins(psf, (x0,), self.edges)[0]
         self.null_truncated = _truncated(psf, self.null_bins)
-        # separations whose pair keeps less than MASS_WARN_FRACTION inside
-        self.truncated: set[float] = set()
+        # (d, offset_lambda) of the pairs that keep less than
+        # MASS_WARN_FRACTION inside
+        self.truncated: set[tuple] = set()
 
-    def __call__(self, d: float) -> BinProbabilities:
-        src = SourceConfig(x0=self.x0, d=d, weight_q=self.weight_q)
-        pair_bins = list(_kernel_bins(self.psf, _pair(src), self.edges))
-        probs = _profiles(self.psf, src, self.n, self.null_bins, pair_bins)
-        if _truncated(self.psf, *pair_bins):
-            self.truncated.add(d)
-        if self.null_truncated:
-            self._warn()
-        return probs
+    def __call__(self, d: float,
+                 offset_lambda: float = 0.0) -> BinProbabilities:
+        src = SourceConfig(x0=self.x0, d=d, weight_q=self.weight_q,
+                           offset_lambda=offset_lambda)
+        pedestal = self.psf.background / self.n
+        p0 = self.null_bins + pedestal
+        if d == 0.0 and offset_lambda == 0.0:
+            return BinProbabilities(n=self.n, p0=p0, p1=p0.copy())
+        left, right = _kernel_bins(self.psf, (src.x1, src.x2), self.edges)
+        if _truncated(self.psf, left, right):
+            self.truncated.add((d, offset_lambda))
+        q = self.weight_q
+        p1 = q * left + (1.0 - q) * right + pedestal
+        return BinProbabilities(n=self.n, p0=p0, p1=p1)
 
-    def warn_truncation(self, d: float) -> None:
-        """Warn when the pair at d, a separation this object integrated,
-        or the null source keeps less than 99 percent of its mass."""
-        if self.null_truncated or d in self.truncated:
-            self._warn()
-
-    @staticmethod
-    def _warn() -> None:
-        _warn_truncation(1)
-
-
-def pair_profiles(psf: PsfModel, x0: float, weight_q: float,
-                  n: int) -> _PairProfiles:
-    """``bin_probabilities`` of the centered pair as a function of d, with
-    the null bins integrated once (``_PairProfiles``)."""
-    return _PairProfiles(psf, x0, weight_q, n)
-
-
-def _pair(src: SourceConfig) -> tuple:
-    """The alternative's two source positions, or none when both coincide
-    with the null source."""
-    if src.d == 0.0 and src.offset_lambda == 0.0:
-        return ()
-    return src.x1, src.x2
-
-
-def _profiles(psf: PsfModel, src: SourceConfig, n: int, null_bins: np.ndarray,
-              pair_bins: list) -> BinProbabilities:
-    """p0 and p1 from the kernel bins of the null source and of the
-    alternative's sources (none when they coincide with the null)."""
-    pedestal = psf.background / n
-    p0 = null_bins + pedestal
-    if pair_bins:
-        q = src.weight_q
-        p1 = q * pair_bins[0] + (1.0 - q) * pair_bins[1] + pedestal
-    else:
-        p1 = p0.copy()
-    return BinProbabilities(n=n, p0=p0, p1=p1)
+    def warn_truncation(self, *pairs: tuple, stacklevel: int = 1) -> None:
+        """Warn when the null source, or a pair among ``pairs``, (d,
+        offset_lambda) that this object integrated, keeps less than 99
+        percent of its kernel mass. ``stacklevel`` counts this line as 1;
+        a solve keeps it there, so that the registry shows its warning
+        once whichever line of the solve asks."""
+        if self.null_truncated or not self.truncated.isdisjoint(pairs):
+            _warn_truncation(stacklevel)
 
 
 def _truncated(psf: PsfModel, *kernel_bins: np.ndarray) -> bool:

@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from . import normal
-from .binning import bin_information_sum, finite_n_information, pair_profiles
+from .binning import PairProfiles, bin_information_sum, finite_n_information
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
@@ -178,8 +178,10 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
 
     The window is (0, w] with w = min(x0 / (1 - q), (1 - x0) / q)
     (1 - 1e-9): the widest pair that keeps both sources inside (0, 1),
-    less the factor that keeps x1 > 0 at w itself. Returns the query's
-    ``pair_profiles``, which integrated the null bins once; the gap, its
+    less the factor that keeps x1 > 0 at w itself. Warns of mass
+    truncation once, up front, when the null source is truncated, so
+    that the warning precedes any NoResolutionError. Returns the query's
+    ``PairProfiles``, which integrated the null bins once; the gap, its
     closed-form power at d (exact for hg/vsg, CLT for poisson) minus the
     target 1 - beta, which caches every separation it evaluates; w;
     ``_power_root`` of the gap on (0, w]; and the Monte Carlo search's
@@ -208,7 +210,8 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
     """
     q = query.weight_q
     window = min(query.x0 / (1.0 - q), (1.0 - query.x0) / q) * (1.0 - 1e-9)
-    profiles = pair_profiles(query.psf, query.x0, q, query.n)
+    profiles = PairProfiles(query.psf, query.x0, q, query.n)
+    profiles.warn_truncation()
     model, t = query.model, query.t
 
     @functools.cache
@@ -310,7 +313,7 @@ def exact_resolution(query: ResolutionQuery) -> ResolutionResult:
         raise NoResolutionError(
             "no admissible separation reaches the requested power; "
             "the root lies outside the unit window")
-    profiles.warn_truncation(d)
+    profiles.warn_truncation((d, 0.0))
     diag = {"iterations": gap.cache_info().currsize, "residual": gap(d)}
     return _checked_result(d, "exact", diag)
 
@@ -431,7 +434,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             "converged": converged, "threshold_mode": threshold_mode,
             "reps": reps, **start, "trajectory": trajectory,
             "draw": "+".join(sorted(routes))}
-    profiles.warn_truncation(d)
+    profiles.warn_truncation((d, 0.0))
     return _checked_result(d, "monte_carlo", diag)
 
 

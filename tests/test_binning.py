@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
-from statres.binning import (BinProbabilities, SourceConfig, bin_edges,
-                             bin_curvature_integrals, bin_information_sum,
-                             bin_probabilities, finite_n_information,
-                             pair_profiles)
+from statres.binning import (BinProbabilities, PairProfiles, SourceConfig,
+                             bin_edges, bin_curvature_integrals,
+                             bin_information_sum, bin_probabilities,
+                             finite_n_information)
 from statres.exceptions import (GeometryError, MassTruncationWarning,
                                 ParameterError)
 from statres.psf import (PsfModel, kernel_value, mass_fraction,
@@ -239,40 +239,37 @@ def test_bin_probabilities_type():
 @pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
 def test_pair_profiles_equal_bin_probabilities_bitwise(psf):
-    # the gaussian tails of n + 1 edges for one center (the null alone) and
-    # for three (null and pair) take the same method at every n: 80 and
-    # 150 lie where three rows reach the tail's vector size and one does not
+    # one object called for many pairs, centered and offset, gives the bits
+    # of a fresh bin_probabilities for each: the null bins it holds are
+    # neither changed by a call nor shared with the profiles it returns
     for n in (37, 80, 150, 300):
-        profiles = pair_profiles(psf, 0.4, 0.3, n)
-        for d in (0.0, 0.01, 0.1, 0.3):
-            got = profiles(d)
-            want = bin_probabilities(psf, SourceConfig(0.4, d, 0.3), n)
+        profiles = PairProfiles(psf, 0.4, 0.3, n)
+        for d, lam in [(0.0, 0.0), (0.01, 0.0), (0.1, 0.0), (0.3, 0.0),
+                       (0.0, 0.05), (0.1, -0.02), (0.0, 0.0)]:
+            got = profiles(d, lam)
+            want = bin_probabilities(psf, SourceConfig(0.4, d, 0.3, lam), n)
             assert got.n == want.n
             assert np.array_equal(got.p0, want.p0)
             assert np.array_equal(got.p1, want.p1)
+            got.p0[:] = got.p1[:] = -1.0
 
 
 def test_pair_profiles_warn_only_for_the_reported_pair(recwarn):
-    # the null at 0.2 keeps its mass, the pair 0.2 wide does not: a call
-    # records that pair without a warning, and warn_truncation warns for
-    # it alone
+    # the null at 0.2 keeps its mass, the pair 0.2 wide does not, nor does
+    # the pair 0.05 wide shifted 0.1 to the left: a call records such a
+    # pair without a warning, and warn_truncation warns for it alone
     psf = PsfModel.gaussian(0.05)
-    profiles = pair_profiles(psf, 0.2, 0.5, 20)
+    profiles = PairProfiles(psf, 0.2, 0.5, 20)
     assert mass_fraction(psf, 0.2) > 0.99 > mass_fraction(psf, 0.1)
     profiles(0.2)
     profiles(0.05)
-    profiles.warn_truncation(0.05)
+    profiles(0.05, 0.1)
+    profiles.warn_truncation()
+    profiles.warn_truncation((0.05, 0.0), (0.2, 0.1))
     assert not recwarn.list
-    with pytest.warns(MassTruncationWarning):
-        profiles.warn_truncation(0.2)
-
-
-def test_pair_profiles_check_the_null_mass_on_every_call():
-    # at d = 0 only the null source is integrated, and it is truncated
-    profiles = pair_profiles(PsfModel.gaussian(0.3), 0.5, 0.5, 20)
-    for d in (0.0, 0.0, 0.1):
+    for pair in [(0.2, 0.0), (0.05, 0.1)]:
         with pytest.warns(MassTruncationWarning):
-            profiles(d)
+            profiles.warn_truncation((0.05, 0.0), pair)
 
 
 @pytest.mark.parametrize("psf", [PsfModel.gaussian(0.0849),
@@ -284,7 +281,7 @@ def test_finite_n_information_is_one_sum_for_every_caller(psf):
     # curvature bins alone; the narrow gaussian's tail bins hold no null
     # mass and drop out
     for n in (20, 80):
-        held = pair_profiles(psf, 0.45, 0.5, n).null_bins
+        held = PairProfiles(psf, 0.45, 0.5, n).null_bins
         curvature = bin_curvature_integrals(psf, 0.45, n)
         for kind in ("poisson", "vsg"):
             got = finite_n_information(psf, 0.45, n, kind, held)

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import statres
+import statres.binning as binning
 import statres.resolution as resolution
 from statres.cli import build_parser, main, parse_grid, parse_psf
 from statres.exceptions import MassTruncationWarning, ParameterError
@@ -804,6 +805,50 @@ def test_root_search_warns_only_for_the_reported_pair():
     assert proc.returncode == 0
     assert float(parse_csv(proc.stdout)[2][0]["d"]) == 0.36682123218361085
     assert proc.stderr == ""
+
+
+TRUNCATION_LINE = ("warning: MassTruncationWarning: a source keeps less "
+                   "than 99 percent of its kernel mass inside [0, 1]; bin "
+                   "probabilities are truncated")
+
+
+def test_offset_scan_warns_once_for_its_truncated_pairs():
+    # the null at 0.2 keeps its mass; the pairs shifted left lose some
+    proc = run_fresh("-m", "statres.cli", "scan", "--kind", "lambda",
+                     "--psf", "gaussian:0.05", "--x0", "0.2", "--d", "0.1")
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [TRUNCATION_LINE]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--method", "exact", "--model", "vsg", "--t", "1"],
+     "error: no admissible separation reaches the requested power"),
+    (["--method", "mc", "--model", "poisson", "--t", "2", "--reps", "1000"],
+     "error: type-II rate 0.861 stays above the band")],
+    ids=["exact", "mc"])
+def test_failed_solve_warns_of_a_truncated_null_before_its_error(argv,
+                                                                 error):
+    # no pair in the window reaches the power; the search warns of the
+    # null first, once, then the solve fails with exit 3
+    proc = run_fresh("-m", "statres.cli", "resolve", "--psf",
+                     "gaussian:0.3", *argv)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and lines[0] == TRUNCATION_LINE
+    assert lines[1].startswith(error)
+
+
+def test_offset_scan_integrates_the_null_once(monkeypatch):
+    # the default scan, 11 offsets at d = 0.1: the null once, first, then
+    # the two sources of each pair
+    centers = []
+    original = binning._kernel_bins
+    monkeypatch.setattr(binning, "_kernel_bins",
+                        lambda psf, sources, edges: centers.extend(sources)
+                        or original(psf, sources, edges))
+    assert main(["scan", "--kind", "lambda"]) == 0
+    assert len(centers) == 23
+    assert centers[0] == 0.5
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -1,5 +1,5 @@
-"""Properties of the closed-form error rates and of the command line's
-failures, checked on generated inputs."""
+"""Properties of the closed-form error rates, of the paper's resolution
+laws and of the command line's failures, checked on generated inputs."""
 
 import contextlib
 import io
@@ -12,8 +12,10 @@ from statres import cli
 from statres.binning import SourceConfig, bin_probabilities
 from statres.models import (MODEL_KINDS, NoiseModel, analytic_report,
                             exact_error_rates)
-from statres.psf import PsfModel
-from statres.resolution import ROOT_GRID, ResolutionQuery, exact_resolution
+from statres.psf import AIRY_FWHM_U, PsfModel, curvature_integral
+from statres.resolution import (ROOT_GRID, ResolutionQuery,
+                                asymptotic_resolution, exact_resolution,
+                                finite_n_resolution)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
@@ -98,6 +100,70 @@ def test_exact_resolution_inverts_the_exact_power(kind, fwhm, x0, t):
     below = exact_power(kind, probs_at(fwhm, x0, 0.5, result.d - ROOT_GRID),
                         t, query.alpha)
     assert below < target
+
+
+# --------------------------------------------------- the resolution laws
+
+# the width exponent of the asymptotic d: poisson and vsg are linear in
+# the kernel width, hg grows as its 5/4 power
+WIDTH_EXPONENTS = {"poisson": 1.0, "vsg": 1.0, "hg": 1.25}
+# positions whose integrals the quadrature takes, one of them far off the
+# bin grid, beside the centred closed form
+LAW_POSITIONS = st.sampled_from([0.5, 0.3, 0.1234567])
+# the laws are exact in the width; the measured spreads are below 4e-15
+LAW_RTOL = 1e-13
+
+
+def asymptotic_d(kind, sigma, x0):
+    query = ResolutionQuery(model=NoiseModel(kind),
+                            psf=PsfModel.gaussian(sigma), x0=x0)
+    return asymptotic_resolution(query).d
+
+
+@PROPERTY
+@given(kind=st.sampled_from(MODEL_KINDS), x0=LAW_POSITIONS,
+       log_sigma=st.floats(-29.0, -2.0))
+def test_asymptotic_d_follows_the_width_law(kind, x0, log_sigma):
+    # far narrower than the window, the kernel integrals are exact powers
+    # of sigma, so d / sigma^p is one constant from 1e-29 to 1e-2
+    sigma = 10.0 ** log_sigma
+    power = WIDTH_EXPONENTS[kind]
+    law = asymptotic_d(kind, 1e-2, 0.5) / 1e-2 ** power
+    assert asymptotic_d(kind, sigma, x0) / sigma ** power == \
+        pytest.approx(law, rel=LAW_RTOL)
+
+
+@PROPERTY
+@given(log_fwhm=st.floats(-12.0, -3.0))
+def test_airy_curvature_integral_follows_the_width_law(log_fwhm):
+    # the integral of h''^2 scales as the airy unit f / AIRY_FWHM_U to
+    # the power -3
+    def scaled(fwhm):
+        unit = fwhm / AIRY_FWHM_U
+        return curvature_integral(PsfModel.airy(fwhm), 0.5) * unit ** 3
+
+    assert scaled(10.0 ** log_fwhm) == pytest.approx(scaled(1e-3),
+                                                     rel=LAW_RTOL)
+
+
+@PROPERTY
+@given(kind=exact_models, x0=st.sampled_from([0.5, 0.3]),
+       n=st.integers(20, 999), step=st.integers(1, 980))
+def test_finite_n_d_falls_to_the_asymptotic_d(kind, x0, n, step):
+    # binning loses information (Cauchy-Schwarz on each bin), so the
+    # finite-n d lies above the asymptotic d, and it falls to it as n^-2
+    # as the bins refine: (ratio - 1) n^2 reads 5.7-7.3 for n in
+    # [20, 1000]
+    def ratio(bins):
+        query = ResolutionQuery(model=NoiseModel(kind),
+                                psf=PsfModel.gaussian_from_fwhm(0.2),
+                                x0=x0, n=bins)
+        return finite_n_resolution(query).d / asymptotic_resolution(query).d
+
+    finer = min(n + step, 1000)
+    coarse, fine = ratio(n), ratio(finer)
+    assert 1.0 < fine < coarse
+    assert (coarse - 1.0) * n ** 2 < 8.0
 
 
 # ----------------------------------------------------- command-line failures

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ import statres.binning as binning
 import statres.models as models
 import statres.resolution as resolution
 from statres.exceptions import (ConvergenceWarning, GeometryError,
-                                NoResolutionError, ParameterError,
-                                UnsupportedMethodError)
+                                MassTruncationWarning, NoResolutionError,
+                                ParameterError, UnsupportedMethodError)
 from statres.models import NoiseModel, RngState, exact_error_rates
 from statres.binning import SourceConfig, bin_probabilities
 from statres.cli import main
@@ -390,7 +391,7 @@ def test_library_solve_shows_a_warning_once():
 
 
 def test_library_mc_and_exact_solves_show_a_warning_once():
-    # the gap and the draws call the same pair_profiles function, which
+    # the gap and the draws call the same PairProfiles object, which
     # warns at its own line, so the registry shows the warning once
     script = (
         "from statres.models import NoiseModel, RngState\n"
@@ -408,6 +409,19 @@ def test_library_mc_and_exact_solves_show_a_warning_once():
     assert run.returncode == 0, run.stderr
     lines = run.stderr.splitlines()
     assert sum("MassTruncationWarning" in line for line in lines) == 1
+
+
+def test_exact_resolution_warns_once_for_a_truncated_null_then_raises():
+    # the null at 0.5 loses mass to a kernel this wide, and at t = 1 no
+    # pair in the window reaches the power: the search warns up front,
+    # once, not on each of its calls, so the warning precedes the error
+    query = ResolutionQuery(model=NoiseModel("vsg"),
+                            psf=PsfModel.gaussian(0.3), t=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoResolutionError):
+            exact_resolution(query)
+    assert [w.category for w in caught] == [MassTruncationWarning]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
@@ -526,7 +540,7 @@ def test_mc_resolution_drops_underflowed_one_sided_bins(t, route,
     # the whole profile to photons
     query = make_query("poisson", t=t, n=20)
     plain = mc_resolution(query, reps=500, rng=RngState(seed=1))
-    unpadded = resolution.pair_profiles
+    unpadded = resolution.PairProfiles
     padded_p1 = []
 
     def padded_profiles(*args):
@@ -548,7 +562,7 @@ def test_mc_resolution_drops_underflowed_one_sided_bins(t, route,
         photon_draws.append(args)
         return photon_sums(*args)
 
-    monkeypatch.setattr(resolution, "pair_profiles", padded_profiles)
+    monkeypatch.setattr(resolution, "PairProfiles", padded_profiles)
     monkeypatch.setattr(models, "_photon_sums", counted)
     result = mc_resolution(query, reps=500, rng=RngState(seed=1))
     assert result == plain
@@ -590,7 +604,7 @@ def test_mc_resolution_band_check_reads_the_band_as_the_band_test():
             reachable = any(band_lo <= r < band_hi for r in rates)
             query = make_query("vsg", beta=float(beta))
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(resolution, "pair_profiles", refuse)
+                patch.setattr(resolution, "PairProfiles", refuse)
                 with pytest.raises(Reached if reachable else ParameterError):
                     mc_resolution(query, reps=reps)
 
