@@ -16,7 +16,7 @@ from .analysis import (FitResult, SweepSpec, criterion_alpha,
                        weight_scan)
 from .binning import (BinProbabilities, SourceConfig, bin_curvature_integrals,
                       bin_information_sum, bin_probabilities)
-from .exceptions import (ConvergenceWarning, GeometryError,
+from .exceptions import (ConvergenceWarning, GeometryError, LevelWarning,
                          MassTruncationWarning,
                          ModelAssumptionError, NoResolutionError,
                          ParameterError, StatresError,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinProbabilities", "ConvergenceWarning", "FitResult", "GeometryError",
-    "MassTruncationWarning", "ModelAssumptionError", "NoiseModel",
+    "LevelWarning", "MassTruncationWarning", "ModelAssumptionError", "NoiseModel",
     "NoResolutionError", "ParameterError", "PsfModel", "ResolutionQuery",
     "ResolutionResult", "RngState", "SourceConfig", "StatresError",
     "SweepSpec", "TestReport", "UnsupportedMethodError", "acuna_power",

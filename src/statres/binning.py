@@ -110,10 +110,13 @@ class PairProfiles:
     integrated once, on construction; each call integrates the two
     alternative sources only. A call never warns: a search probes pairs
     that it does not report, so a pair that loses mass is only recorded,
-    and ``warn_truncation`` warns for the pairs a caller reports.
+    and ``warn_truncation`` warns for the pairs a caller reports. An x0
+    outside (0, 1) raises GeometryError on construction.
     """
 
     def __init__(self, psf: PsfModel, x0: float, weight_q: float, n: int):
+        if not 0.0 < x0 < 1.0:
+            raise GeometryError(f"x0 = {x0} must lie in (0, 1)")
         self.psf, self.x0, self.weight_q, self.n = psf, x0, weight_q, n
         self.edges = bin_edges(n)
         self.null_bins = _kernel_bins(psf, (x0,), self.edges)[0]

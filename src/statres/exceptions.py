@@ -40,3 +40,7 @@ class MassTruncationWarning(UserWarning):
 
 class ConvergenceWarning(UserWarning):
     """An iterative solver stopped before meeting its convergence test."""
+
+
+class LevelWarning(UserWarning):
+    """A simulated level lies more than 3 standard errors from alpha."""

@@ -53,20 +53,23 @@ chosen by ``draw_route`` from the query alone:
                follows the photons, not the bin count.
 
 Either way a draw holds one chunk plus reps values of T, whatever reps is.
+Every Monte Carlo rate, of ``power`` and of the Monte Carlo search alike,
+is one ``mc_error_rates`` call: it sets the threshold, draws each side it
+needs once and counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import normal
 from .binning import BinProbabilities
-from .exceptions import (ModelAssumptionError, ParameterError,
-                         UnsupportedMethodError)
+from .exceptions import (LevelWarning, ModelAssumptionError,
+                         ParameterError, UnsupportedMethodError)
 
 MODEL_KINDS = ("poisson", "vsg", "hg")
 # variates (records route) or photons (photons route) per chunk of a Monte
@@ -121,13 +124,15 @@ class RngState:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Level, power and threshold of one test; mc_se = 0 for closed forms."""
+    """Level, power and threshold of one test; mc_se = 0 for closed forms.
+    type2 is a Monte Carlo report's count of t1 <= threshold over reps."""
 
     threshold: float
     level: float
     power: float
     mc_se: float = 0.0
     reps: int = 0
+    type2: float = math.nan
 
 
 def draw_route(model: NoiseModel, p, t: float) -> str:
@@ -529,42 +534,50 @@ THRESHOLD_MODES = ("analytic", "h0-calibrated")
 KS_BOUND = 0.03
 
 
-def mc_threshold(model: NoiseModel, probs: BinProbabilities, t: float,
-                 alpha: float, mode: str,
-                 null: Callable[[], np.ndarray]) -> float:
-    """Rejection threshold of the level-alpha LRT: the null quantile of T's
-    normal law (CLT for poisson) in "analytic" mode, else the empirical
-    (1 - alpha) quantile of the null statistics ``null()`` draws."""
-    _check_alpha(alpha)
-    if mode == THRESHOLD_MODES[0]:
-        return statistic_law(model, probs, t).normal().quantile(0, 1.0 - alpha)
-    if mode not in THRESHOLD_MODES:
-        raise ParameterError(f"unknown threshold mode {mode!r}")
-    t0 = null()
-    return float(np.sort(t0)[int(math.ceil((1.0 - alpha) * t0.size)) - 1])
-
-
 def mc_error_rates(model: NoiseModel, probs: BinProbabilities, t: float,
                    alpha: float, reps: int = 10000,
                    rng: RngState | None = None,
-                   threshold_mode: str = "analytic") -> TestReport:
-    """Monte Carlo level and power of the level-alpha LRT.
+                   threshold_mode: str = "analytic", key: tuple = (),
+                   routes: set | None = None,
+                   level: bool = True) -> TestReport:
+    """Monte Carlo level and power of the level-alpha LRT: the one
+    estimator of a Monte Carlo rate, for ``power`` and ``mc_resolution``.
 
-    The threshold is closed-form or calibrated on the null batch
-    (``mc_threshold``), which makes the level alpha up to quantile
-    granularity. Null and alternative batches use substreams 0 and 1 of
-    the RngState.
+    The threshold is the null quantile of T's normal law (CLT for poisson)
+    in "analytic" mode, else the empirical (1 - alpha) quantile of the
+    null draw. Each side is drawn once from substream (*key, side) of rng
+    (``sample_observations``, which adds its route to ``routes``); without
+    ``level`` the analytic mode draws no null and the level is nan. Power
+    and type2 count t1 > threshold and t1 <= threshold over reps. Under
+    the analytic threshold a level whose 3-sigma Wilson score interval
+    excludes alpha, |level - alpha| > 3 sqrt(alpha (1 - alpha) / reps)
+    (Brown, Cai & DasGupta, Statist. Sci. 16, 2001), raises LevelWarning.
     """
     rng = rng or RngState()
-    t0 = sample_observations(model, probs, t, 0, reps, rng)
-    threshold = mc_threshold(model, probs, t, alpha, threshold_mode,
-                             lambda: t0)
-    level = float(np.mean(t0 > threshold))
-    t1 = sample_observations(model, probs, t, 1, reps, rng)
+    calibrated = threshold_mode == THRESHOLD_MODES[1]
+    if level or calibrated:
+        t0 = sample_observations(model, probs, t, 0, reps, rng, key, routes)
+    _check_alpha(alpha)
+    if calibrated:
+        threshold = float(np.sort(t0)[math.ceil((1.0 - alpha) * reps) - 1])
+    elif threshold_mode == THRESHOLD_MODES[0]:
+        law = statistic_law(model, probs, t).normal()
+        threshold = law.quantile(0, 1.0 - alpha)
+    else:
+        raise ParameterError(f"unknown threshold mode {threshold_mode!r}")
+    t1 = sample_observations(model, probs, t, 1, reps, rng, key, routes)
     power = float(np.mean(t1 > threshold))
-    mc_se = math.sqrt(power * (1.0 - power) / reps)
-    return TestReport(threshold=threshold, level=level, power=power,
-                      mc_se=mc_se, reps=reps)
+    level_hat = float(np.mean(t0 > threshold)) if level else math.nan
+    band = 3.0 * math.sqrt(alpha * (1.0 - alpha) / reps)
+    if level and not calibrated and abs(level_hat - alpha) > band:
+        warnings.warn(
+            f"simulated level {level_hat!r} lies more than 3 standard errors "
+            f"from alpha = {alpha!r} at reps = {reps}: the analytic "
+            f"threshold misses the nominal level", LevelWarning, stacklevel=2)
+    return TestReport(threshold=threshold, level=level_hat, power=power,
+                      mc_se=math.sqrt(power * (1.0 - power) / reps),
+                      reps=reps,
+                      type2=float(np.mean(t1 <= threshold)))
 
 
 def ks_normal_distance(z: np.ndarray) -> float:

@@ -8,12 +8,12 @@ sources d apart" reaches power 1 - beta. Four routes compute it:
 * ``finite_n_resolution``    closed-form rate with per-bin integrals,
 * ``exact_resolution``       a root search on the exact Gaussian-model
                              power,
-* ``mc_resolution``          a search on a Monte Carlo power estimate that
-                             starts at the analytic critical separation
-                             and, only when the simulation disagrees with
-                             it, takes Newton steps on the closed-form
-                             power slope inside a bracket it bisects as a
-                             fallback.
+* ``mc_resolution``          a search on a Monte Carlo power estimate
+                             (``models.mc_error_rates``) that starts at
+                             the analytic critical separation and, only
+                             when the simulation disagrees with it, takes
+                             Newton steps on the closed-form power slope
+                             inside a bracket it bisects as a fallback.
 
 The two searches share one window, (0, w] with w the widest pair that
 keeps both sources inside (0, 1), decided in ``_search``: no resolution
@@ -43,8 +43,7 @@ from .binning import PairProfiles, bin_information_sum, finite_n_information
 from .exceptions import (ConvergenceWarning, GeometryError,
                          NoResolutionError, ParameterError,
                          UnsupportedMethodError)
-from .models import (NoiseModel, RngState, mc_threshold,
-                     sample_observations, statistic_law)
+from .models import NoiseModel, RngState, mc_error_rates, statistic_law
 from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
@@ -338,8 +337,9 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     NoResolutionError. The search stops in the band, or after 60 probes
     inside a closed bracket with a ConvergenceWarning.
 
-    Each estimate draws reps observations from a fresh substream indexed
-    by (phase, probe, side): phase 0 holds the start and the probes made
+    Each beta_hat is the type2 of one ``mc_error_rates`` call without the
+    level, drawing reps observations per side from a fresh substream
+    (phase, probe, side): phase 0 holds the start and the probes made
     before both bracket ends exist (``expansions``), phase 1 those made
     after (``iterations``). The result is deterministic given the
     RngState and independent of threading. Diagnostics record the start
@@ -347,7 +347,7 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
     (d, beta_hat) per probe, whose length is
     1 + expansions + iterations, the standard error ``mc_se`` of beta_hat
     and ``d_se`` = mc_se / |g'(d)|, its error carried to the reported d,
-    and as "draw" the routes the draws took (``sample_observations``):
+    and as "draw" the routes the draws took (``draw_route``):
     "photons", "records", or "photons+records" when the probes' profiles
     fall on both sides of the crossover. The null bins are integrated
     once, for the analytic start, the slopes and every draw alike. A
@@ -369,20 +369,13 @@ def mc_resolution(query: ResolutionQuery, reps: int = 10000,
             f"cannot converge")
     trajectory: list[tuple[float, float]] = []
     routes: set[str] = set()
-    model, t = query.model, query.t
-
-    def draw(probs, side: int, key: tuple) -> np.ndarray:
-        return sample_observations(model, probs, t, side, reps, rng, key,
-                                   routes)
 
     def type2(d: float, key: tuple) -> float:
-        probs = profiles(d)
-        threshold = mc_threshold(model, probs, t, query.alpha,
-                                 threshold_mode, lambda: draw(probs, 0, key))
-        t1 = draw(probs, 1, key)
-        beta_hat = float(np.mean(t1 <= threshold))
-        trajectory.append((d, beta_hat))
-        return beta_hat
+        report = mc_error_rates(query.model, profiles(d), query.t,
+                                query.alpha, reps, rng, threshold_mode, key,
+                                routes, level=False)
+        trajectory.append((d, report.type2))
+        return report.type2
 
     profiles, gap, window, _, start = _search(query, threshold_mode)
     d = start["start"]

@@ -34,6 +34,9 @@ def test_intensity_center_is_preserved_without_offset():
 def test_geometry_validation():
     with pytest.raises(GeometryError):
         SourceConfig(x0=1.2, d=0.1)
+    for x0 in (1.2, 0.0):
+        with pytest.raises(GeometryError, match=f"x0 = {x0} must lie"):
+            PairProfiles(PsfModel.gaussian(0.1), x0, 0.5, 20)
     with pytest.raises(GeometryError):
         SourceConfig(x0=0.05, d=0.2)  # x1 < 0
     with pytest.raises(GeometryError):

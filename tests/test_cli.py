@@ -13,7 +13,8 @@ import statres
 import statres.binning as binning
 import statres.resolution as resolution
 from statres.cli import build_parser, main, parse_grid, parse_psf
-from statres.exceptions import MassTruncationWarning, ParameterError
+from statres.exceptions import (LevelWarning, MassTruncationWarning,
+                                ParameterError)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::statres.exceptions.MassTruncationWarning")
@@ -159,8 +160,8 @@ def test_poisson_sweep_draw_count(capsys, monkeypatch):
     # the Edgeworth start lands in the band at every point of the default
     # fwhm sweep: one draw per solve, where a CLT start takes 22 draws
     draws = []
-    draw = resolution.sample_observations
-    monkeypatch.setattr(resolution, "sample_observations",
+    draw = statres.models.sample_observations
+    monkeypatch.setattr(statres.models, "sample_observations",
                         lambda *args: draws.append(args) or draw(*args))
     code, _, _ = run(capsys, ["simulate", "--sweep", "fwhm", "--models",
                               "poisson", "--seed", "1"])
@@ -170,8 +171,8 @@ def test_poisson_sweep_draw_count(capsys, monkeypatch):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The sides of every sample_observations call, wherever it is bound:
-    models for power and check, resolution for resolve."""
+    """The sides of every sample_observations call: power and resolve
+    draw through models.mc_error_rates, check through normality_check."""
     sides = []
     original = statres.models.sample_observations
 
@@ -180,7 +181,6 @@ def draws(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(statres.models, "sample_observations", counted)
-    monkeypatch.setattr(resolution, "sample_observations", counted)
     return sides
 
 
@@ -493,12 +493,17 @@ def test_narrow_kernel_bins_without_mass_drop_out(capsys, argv):
     # the far bins of a narrow kernel underflow to p0 = p1 = 0, and off
     # the centre the information integrand h''^2 / h reads 0/0 there; at
     # sigma 0.005 a tail bin keeps about 1e-320 under one hypothesis and 0
-    # under the other, and drops out of the poisson statistic too
-    with warnings.catch_warnings():
+    # under the other, and drops out of the poisson statistic too. At
+    # sigma 0.01 the seeded Monte Carlo level is 0, which the command
+    # reports as its one warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert parse_csv(out)[2]
+    mc = "mc" in argv and "gaussian:0.01" in argv
+    assert [w.category for w in caught] == ([LevelWarning] if mc else [])
 
 
 def test_check_requires_a_mode(capsys):
@@ -792,6 +797,46 @@ def test_warning_prints_as_one_line():
         "percent of its kernel mass inside [0, 1]; bin probabilities are "
         "truncated"]
     assert ".py:" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, warned", [
+    (["--method", "mc", "--eta", "5e-324", "--d", "0.1", "--reps", "100"],
+     True),
+    (["--method", "mc", "--eta", "1e-300", "--d", "0.1", "--reps", "100"],
+     True),
+    (["--psf", "gaussian:0.01", "--d", "0.02", "--method", "mc", "--reps",
+      "1000", "--seed", "0"], True),
+    (["--psf", "gaussian:0.005", "--d", "0.05", "--method", "mc"], False),
+])
+def test_mc_power_warns_when_its_level_misses_alpha(argv, warned):
+    # levels 1.0, 0.0 and 0.0 lie outside alpha +- 3 sqrt(alpha (1 - alpha)
+    # / reps), so alpha lies outside their 3-sigma Wilson score interval;
+    # 0.1025 at reps 1e4 lies inside. The warning is one stderr line
+    proc = run_fresh("-m", "statres.cli", "power", *argv)
+    assert proc.returncode == 0
+    meta, _, rows = parse_csv(proc.stdout)
+    reps, level = int(meta["reps"]), float(rows[0]["level"])
+    assert (abs(level - 0.1) > 3.0 * math.sqrt(0.09 / reps)) == warned
+    assert proc.stderr.splitlines() == ([
+        f"warning: LevelWarning: simulated level {level!r} lies more than "
+        f"3 standard errors from alpha = 0.1 at reps = {reps}: the analytic "
+        f"threshold misses the nominal level"] if warned else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--x0", "1.5"],
+    ["scan", "--x0", "0"],
+    ["scan", "--x0", "1.5", "--n", "0"],
+    ["scan", "--kind", "weight", "--x0", "1.5"],
+    ["power", "--d", "0.1", "--x0", "1.5"],
+    ["resolve", "--x0", "1.5"],
+])
+def test_x0_outside_the_window_is_named(capsys, argv):
+    # the offset scan names x0 too, not its offset grid
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: x0") and "must lie in (0, 1)" in err
 
 
 def test_root_search_warns_only_for_the_reported_pair():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import statres.models as models
 from statres import normal
 from statres.binning import (BinProbabilities, SourceConfig,
                              bin_curvature_integrals, bin_probabilities)
-from statres.exceptions import (ModelAssumptionError, ParameterError,
-                                UnsupportedMethodError)
+from statres.exceptions import (LevelWarning, ModelAssumptionError,
+                                ParameterError, UnsupportedMethodError)
 from statres.models import (MODEL_KINDS, NoiseModel, RngState, StatisticLaw,
                             analytic_report,
                             exact_error_rates, hg_mu, ks_normal_distance,
@@ -821,6 +822,42 @@ def test_ks_distance_equals_scipy_kstest(n):
             want = max(np.max(i / n - cdf), np.max(cdf - (i - 1.0) / n))
             assert ks_normal_distance(sample) == want
             assert abs(want - kstest(sample, "norm").statistic) <= 1e-14
+
+
+@pytest.mark.parametrize("mode, drawn", [("analytic", [1]),
+                                         ("h0-calibrated", [0, 1])])
+def test_mc_error_rates_without_the_level_draws_what_it_needs(monkeypatch,
+                                                              mode, drawn):
+    # a search probe asks for no level: the analytic threshold then draws
+    # the alternative alone, and every other number keeps its bits
+    probs = make_probs(d=0.15)
+    model, rng = NoiseModel("vsg"), RngState(seed=2)
+    full = mc_error_rates(model, probs, 20.0, 0.1, 500, rng, mode, (3, 1))
+    sides = []
+    original = models.sample_observations
+    monkeypatch.setattr(models, "sample_observations",
+                        lambda *a: sides.append(a[3]) or original(*a))
+    report = mc_error_rates(model, probs, 20.0, 0.1, 500, rng, mode, (3, 1),
+                            level=False)
+    assert sides == drawn and math.isnan(report.level)
+    assert (report.threshold, report.power, report.type2) == \
+        (full.threshold, full.power, full.type2)
+    assert round(full.power * 500) + round(full.type2 * 500) == 500
+
+
+def test_level_warning_reads_the_analytic_threshold_only():
+    # at eta 5e-324 every T is 0: the analytic threshold, -1e-323, lies
+    # below them all and the level reads 1.0, while the calibrated
+    # threshold's level is alpha's up to the 0 atom, which warns of nothing
+    probs = make_probs()
+    model = NoiseModel("poisson", thinning=5e-324)
+    with pytest.warns(LevelWarning, match="simulated level 1.0 "):
+        report = mc_error_rates(model, probs, 20.0, 0.1, reps=100)
+    assert report.level == report.power == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LevelWarning)
+        mc_error_rates(model, probs, 20.0, 0.1, reps=100,
+                       threshold_mode="h0-calibrated")
 
 
 def test_mc_validation():

@@ -194,8 +194,8 @@ def test_flat_kernel_resolves_nothing(monkeypatch):
     # no analytic crossing inside the window: the Monte Carlo search
     # starts at the window's end and gives up after its first draw
     draws = []
-    original = resolution.sample_observations
-    monkeypatch.setattr(resolution, "sample_observations",
+    original = models.sample_observations
+    monkeypatch.setattr(models, "sample_observations",
                         lambda *a, **k: draws.append(1) or original(*a, **k))
     with pytest.warns(Warning):
         with pytest.raises(NoResolutionError):
@@ -246,6 +246,32 @@ def test_gaussian_models_start_at_the_normal_root(kind, mode, seed):
         NORMAL_TRAJECTORIES[kind, mode, seed]
 
 
+@pytest.mark.parametrize("kind, mode, seed", [("poisson", "analytic", 1),
+                                              ("vsg", "h0-calibrated", 2),
+                                              ("hg", "analytic", 0)])
+def test_mc_search_probes_are_estimator_calls(kind, mode, seed):
+    # each of these searches misses its first probe. Every probe's
+    # beta_hat is the type2 count of one mc_error_rates call at its d,
+    # keyed (0, k) for the start and the expansions and (1, k) for the
+    # bracketed iterations, and the draws take the reported routes
+    query = make_query(kind, t=20.0, n=20)
+    rng = RngState(seed=seed)
+    diag = mc_resolution(query, reps=500, rng=rng,
+                         threshold_mode=mode).diagnostics
+    keys = ([(0, k) for k in range(diag["expansions"] + 1)]
+            + [(1, k) for k in range(1, diag["iterations"] + 1)])
+    assert len(diag["trajectory"]) == len(keys) > 1
+    profiles = binning.PairProfiles(query.psf, query.x0, query.weight_q,
+                                    query.n)
+    routes = set()
+    for (d, beta_hat), key in zip(diag["trajectory"], keys):
+        report = models.mc_error_rates(query.model, profiles(d), query.t,
+                                       query.alpha, 500, rng, mode, key,
+                                       routes, level=False)
+        assert report.type2 == beta_hat
+    assert "+".join(sorted(routes)) == diag["draw"]
+
+
 @pytest.mark.parametrize("mode", ["analytic", "h0-calibrated"])
 def test_poisson_start_lands_in_the_band(mode):
     # at n = t = 20 and FWHM 0.2 the CLT root's true type-II rate is about
@@ -261,15 +287,9 @@ def test_poisson_start_lands_in_the_band(mode):
     se = math.sqrt(query.beta * (1.0 - query.beta) / reps)
     rates = []
     for d in (start["start"], root):
-        probs = profiles(d)
-        rng = RngState(seed=3)
-        threshold = models.mc_threshold(
-            query.model, probs, query.t, query.alpha, mode,
-            lambda: models.sample_observations(query.model, probs, query.t,
-                                               0, reps, rng))
-        t1 = models.sample_observations(query.model, probs, query.t, 1, reps,
-                                        rng)
-        rates.append(float(np.mean(t1 <= threshold)))
+        rates.append(models.mc_error_rates(
+            query.model, profiles(d), query.t, query.alpha, reps,
+            RngState(seed=3), mode, level=False).type2)
     assert 0.95 * query.beta <= rates[0] < 1.05 * query.beta
     assert rates[1] < 0.95 * query.beta - 3.0 * se
 
@@ -464,8 +484,8 @@ def test_mc_search_draws_once_per_probe_and_side(monkeypatch, mode,
     # the Newton slope comes from the closed form, so a probe draws the
     # alternative, plus the null only to calibrate its threshold
     calls = []
-    original = resolution.sample_observations
-    monkeypatch.setattr(resolution, "sample_observations",
+    original = models.sample_observations
+    monkeypatch.setattr(models, "sample_observations",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     longest = 0
     for seed in range(4):
@@ -576,7 +596,7 @@ def test_mc_resolution_rejects_a_band_without_a_reachable_rate(monkeypatch):
     # at reps 200, beta_hat moves in steps of 0.005, and the band
     # [0.040565, 0.044835) of beta 0.0427 holds none of them: no draw
     draws = []
-    monkeypatch.setattr(resolution, "sample_observations",
+    monkeypatch.setattr(models, "sample_observations",
                         lambda *args: draws.append(args))
     with pytest.raises(ParameterError, match="no multiple of 1/reps"):
         mc_resolution(make_query("vsg", beta=0.0427), reps=200,
