@@ -478,7 +478,8 @@ def cmd_scan(opts: dict) -> tuple[list[dict], dict]:
         grid = parse_grid(opts["grid"] or "-0.05:0.05:0.01")
         records, lambda_star = hardest_alternative_scan(
             model, psf, d=opts["d"], t=opts["t"], n=opts["n"],
-            alpha=opts["alpha"], lambdas=grid, x0=opts["x0"])
+            alpha=opts["alpha"], lambdas=grid, x0=opts["x0"],
+            weight_q=opts["q_weight"])
         return records, {"lambda_star": lambda_star}
     grid = parse_grid(opts["grid"] or "0.1:0.9:0.1")
     query = ResolutionQuery(model=model, psf=psf, x0=opts["x0"],

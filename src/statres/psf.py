@@ -18,12 +18,15 @@ case goes through the Gauss-Legendre quadrature of ``statres.quadrature``
 in the kernel's coordinate u.
 
 This module owns every kernel integral. ``_kernel_bins`` is the one path
-to the kernel's mass in a set of bins: differences of normal tails for a
-Gaussian, the quadrature for an Airy pattern. Bin probabilities and the
-mass fraction inside [0, 1] both come from it.
+to the kernel's mass in a set of bins, and it integrates nothing
+numerically: differences of normal tails for a Gaussian, differences of
+the antiderivative of (2 J1(v)/v)^2 (``statres.bessel.g2_bins``) for an
+Airy pattern. Bin probabilities and the mass fraction inside [0, 1] both
+come from it.
 
-The Airy pattern's Bessel functions come from ``statres.bessel``, whose
-table the first Airy call builds; no kernel needs scipy.
+The Airy pattern's Bessel functions and bin masses come from
+``statres.bessel``, whose tables the first Airy call builds; no kernel
+needs scipy.
 """
 
 from __future__ import annotations
@@ -248,9 +251,11 @@ def _kernel_bins(psf: PsfModel, centers: tuple,
         bins = tail[:, 1:] - tail[:, :-1]
         bins += right[:, 1:] ^ right[:, :-1]
         return bins
-    return np.array([integrate_bins(lambda u: kernel_value(psf, u), edges,
-                                    center, _width(psf))
-                     for center in centers])
+    # the same in the Airy unit v = s u: one antiderivative of G^2 per
+    # edge, from bessel's table
+    v = edges - np.array(centers, dtype=float)[:, None]
+    v *= AIRY_FWHM_U / psf.fwhm
+    return bessel.g2_bins(v) * _width(psf)
 
 
 def total_mass(psf: PsfModel) -> float:

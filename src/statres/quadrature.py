@@ -1,15 +1,18 @@
 """Fixed-order Gauss-Legendre quadrature, the package's one quadrature.
 
-It integrates the Airy bin masses, the curvature and information integrals
-and the Airy mass fraction. Results feed likelihood computations, so they
-must be deterministic: nodes and weights are computed once, summation
-order inside a panel is fixed, and sums across bins use numpy's pairwise
-summation. Each panel is refined by recursive bisection until its
-two-half estimate agrees with its whole-panel estimate. A peak much
-narrower than a bin could fall between the nodes of both estimates, which
-would then agree on zero, so break points split the bins around it. The
-panels lie in the kernel's own coordinate u = x - center, where those next
-to the peak stay much wider than the spacing of doubles.
+It integrates the window integrals of ``statres.psf``, the curvature and
+information integrals over [0, 1] (the Riemann check compares them with
+their bin sums); no bin mass goes through it. The information integral
+with a background has no closed form. Results feed likelihood
+computations, so they must be deterministic: nodes and weights are
+computed once, summation order inside a panel is fixed, and sums across
+bins use numpy's pairwise summation. Each panel is refined by recursive
+bisection until its two-half estimate agrees with its whole-panel
+estimate. A peak much narrower than a bin could fall between the nodes of
+both estimates, which would then agree on zero, so break points split the
+bins around it. The panels lie in the kernel's own coordinate
+u = x - center, where those next to the peak stay much wider than the
+spacing of doubles.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ from statres.analysis import (BOUNDARY_COEFF, CRITERION_RATIOS, FitResult,
                               hardest_alternative_scan,
                               riemann_convergence_check, simulation_sweep,
                               sted_improvement, table1, weight_scan)
-from statres.binning import bin_information_sum
+from statres.binning import (SourceConfig, bin_information_sum,
+                             bin_probabilities)
 from statres.exceptions import ParameterError
-from statres.models import NoiseModel
+from statres.models import NoiseModel, analytic_report
 from statres.psf import PsfModel, fisher_integral
 from statres.resolution import ResolutionQuery, detection_boundary
 
@@ -141,6 +142,29 @@ def test_hardest_alternative_flags_infeasible_offsets():
     assert flags[0.0] and not flags[0.15] and not flags[-0.15]
     assert math.isnan([r for r in records
                        if r["offset_lambda"] == 0.15][0]["power"])
+
+
+def test_hardest_alternative_scan_reads_the_pair_weight():
+    # each power is the analytic power of the pair of weight q at that
+    # offset; off q = 1/2 mirror-image offsets differ, and a weight
+    # outside (0, 1) is an error
+    psf = PsfModel.gaussian(0.0849, background=0.2)
+    model = NoiseModel("vsg")
+    grid = (-0.03, 0.0, 0.03)
+    records, _ = hardest_alternative_scan(model, psf, d=0.15, t=20.0, n=20,
+                                          alpha=0.1, lambdas=grid,
+                                          weight_q=0.3)
+    for record in records:
+        src = SourceConfig(x0=0.5, d=0.15, weight_q=0.3,
+                           offset_lambda=record["offset_lambda"])
+        want = analytic_report(model, bin_probabilities(psf, src, 20), 20.0,
+                               0.1).power
+        assert record["power"] == want
+    assert abs(records[0]["power"] - records[-1]["power"]) > 1e-3
+    for q in (0.0, 1.0, 1.2, math.nan):
+        with pytest.raises(ParameterError, match="weight_q"):
+            hardest_alternative_scan(model, psf, d=0.15, t=20.0, n=20,
+                                     alpha=0.1, lambdas=grid, weight_q=q)
 
 
 def test_hardest_alternative_rejects_asymmetric_grids():

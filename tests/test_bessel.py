@@ -1,9 +1,12 @@
 """The Airy pattern's Bessel functions without scipy, with scipy as the
 oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.special import j1, jn_zeros, jv
 
 from statres import bessel
@@ -116,3 +119,37 @@ def test_amplitude_is_smooth_across_the_old_small_v_switch():
     assert_allclose(g, 1.0 - v ** 2 / 8.0, rtol=0.0, atol=2.3e-16)
     assert_allclose(dg, -v / 4.0 + v ** 3 / 48.0, rtol=5e-16, atol=0.0)
     assert_allclose(d2g, -0.25 + v ** 2 / 16.0, rtol=0.0, atol=2.3e-16)
+
+
+def g2(v):
+    return (2.0 * j1(v) / v) ** 2 if v != 0.0 else 1.0
+
+
+def test_g2_bins_across_the_table_end():
+    # bins on both sides of |v| = TABLE_END, across it and inside one
+    # table step, each to 1e-13 of scipy's quad of G^2
+    v = np.array([-200.0, -64.3, -64.0, -63.99, -40.0, -0.5, -0.001, 0.0,
+                  0.002, 0.25, 63.9, 63.99, END, 64.01, 64.3, 70.0, 200.0])
+    bins = bessel.g2_bins(v)
+    for a, b, got in zip(v, v[1:], bins):
+        want = quad(g2, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_g2_bins_mirror_rows_and_total():
+    # G^2 is even: the mirror image of the edges gives the same bins in
+    # the same bits; each row of a 2-d call is its own 1-d call; bins
+    # that tile [-V, V] sum to 32 / (3 pi) less the two tails, 2 / (pi V^2)
+    # to leading order
+    rng = np.random.default_rng(3)
+    v = np.sort(rng.uniform(-300.0, 300.0, 41))
+    bins = bessel.g2_bins(v)
+    assert np.array_equal(bessel.g2_bins(-v[::-1]), bins[::-1])
+    rows = np.array([v, 2.0 * v, v + 70.0])
+    together = bessel.g2_bins(rows)
+    assert together.shape == (3, 40)
+    for row, got in zip(rows, together):
+        assert np.array_equal(bessel.g2_bins(row), got)
+    wide = np.linspace(-1e8, 1e8, 2001)
+    total = 32.0 / (3.0 * math.pi) - 4.0 / (math.pi * 1e16)
+    assert bessel.g2_bins(wide).sum() == pytest.approx(total, rel=1e-15)

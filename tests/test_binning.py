@@ -89,7 +89,7 @@ def test_background_pedestal_is_exact():
 
 
 def test_mass_is_conserved_between_hypotheses():
-    # the airy kernel is narrower than a bin, so its bins take break points
+    # the airy kernel is narrower than a bin
     for psf in (PsfModel.gaussian(0.05), PsfModel.airy(0.002)):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -807,11 +807,17 @@ def test_warning_prints_as_one_line():
     (["--psf", "gaussian:0.01", "--d", "0.02", "--method", "mc", "--reps",
       "1000", "--seed", "0"], True),
     (["--psf", "gaussian:0.005", "--d", "0.05", "--method", "mc"], False),
+    (["--method", "mc", "--threshold", "h0-calibrated", "--eta", "5e-324",
+      "--d", "0.1", "--reps", "100"], True),
+    (["--method", "mc", "--threshold", "h0-calibrated", "--d", "0.15"],
+     False),
 ])
 def test_mc_power_warns_when_its_level_misses_alpha(argv, warned):
-    # levels 1.0, 0.0 and 0.0 lie outside alpha +- 3 sqrt(alpha (1 - alpha)
-    # / reps), so alpha lies outside their 3-sigma Wilson score interval;
-    # 0.1025 at reps 1e4 lies inside. The warning is one stderr line
+    # levels 1.0, 0.0, 0.0 and, at the calibrated threshold on the atom of
+    # T at 0, 0.0 lie outside alpha +- 3 sqrt(alpha (1 - alpha) / reps),
+    # so alpha lies outside their 3-sigma Wilson score interval; 0.1025
+    # at reps 1e4 lies inside, and so does a calibrated level without
+    # ties. The warning is one stderr line naming the threshold
     proc = run_fresh("-m", "statres.cli", "power", *argv)
     assert proc.returncode == 0
     meta, _, rows = parse_csv(proc.stdout)
@@ -819,8 +825,9 @@ def test_mc_power_warns_when_its_level_misses_alpha(argv, warned):
     assert (abs(level - 0.1) > 3.0 * math.sqrt(0.09 / reps)) == warned
     assert proc.stderr.splitlines() == ([
         f"warning: LevelWarning: simulated level {level!r} lies more than "
-        f"3 standard errors from alpha = 0.1 at reps = {reps}: the analytic "
-        f"threshold misses the nominal level"] if warned else [])
+        f"3 standard errors from alpha = 0.1 at reps = {reps}: the "
+        f"{meta['threshold']} threshold misses the nominal level"]
+        if warned else [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -910,16 +917,17 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 def test_cli_import_loads_no_heavy_dependency():
     # the thread pool is imported by the code that uses it, not by building
-    # the parser, no scipy module is imported at all, and the Bessel table
-    # waits for the first airy call
+    # the parser, no scipy module is imported at all, and the Bessel
+    # tables wait for the first airy call
     proc = run_fresh("-c", "import sys, statres.cli; "
                      "statres.cli.build_parser(); "
                      "print([m for m in sys.modules if m == "
                      "'concurrent.futures.thread' or m.split('.')[0] == "
-                     "'scipy'], statres.bessel._taylor_table.cache_info()"
-                     ".currsize)")
+                     "'scipy'], *(table.cache_info().currsize for table in "
+                     "(statres.bessel._taylor_table, statres.bessel._g2_table,"
+                     " statres.bessel._g2_tail)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] 0"
+    assert proc.stdout.strip() == "[] 0 0 0"
 
 
 SCIPY_MODULES = ("import sys\n"

@@ -845,19 +845,35 @@ def test_mc_error_rates_without_the_level_draws_what_it_needs(monkeypatch,
     assert round(full.power * 500) + round(full.type2 * 500) == 500
 
 
-def test_level_warning_reads_the_analytic_threshold_only():
+def test_level_warning_reads_either_threshold():
     # at eta 5e-324 every T is 0: the analytic threshold, -1e-323, lies
-    # below them all and the level reads 1.0, while the calibrated
-    # threshold's level is alpha's up to the 0 atom, which warns of nothing
+    # below them all and the level reads 1.0; the calibrated threshold is
+    # that atom, which T never exceeds, and the level reads 0.0
     probs = make_probs()
     model = NoiseModel("poisson", thinning=5e-324)
-    with pytest.warns(LevelWarning, match="simulated level 1.0 "):
+    with pytest.warns(LevelWarning, match="simulated level 1.0 .*: the "
+                      "analytic threshold"):
         report = mc_error_rates(model, probs, 20.0, 0.1, reps=100)
     assert report.level == report.power == 1.0
+    with pytest.warns(LevelWarning, match="simulated level 0.0 .*: the "
+                      "h0-calibrated threshold"):
+        report = mc_error_rates(model, probs, 20.0, 0.1, reps=100,
+                                threshold_mode="h0-calibrated")
+    assert report.level == report.power == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.003, 0.05, 0.1, 0.37, 0.5, 0.88])
+@pytest.mark.parametrize("reps", [100, 1001])
+def test_calibrated_level_without_ties_stays_silent(alpha, reps):
+    # T of the hg model has no ties: the calibrated level is
+    # floor(alpha reps) / reps, within 3 sigma of alpha
+    probs = make_probs()
     with warnings.catch_warnings():
         warnings.simplefilter("error", LevelWarning)
-        mc_error_rates(model, probs, 20.0, 0.1, reps=100,
-                       threshold_mode="h0-calibrated")
+        report = mc_error_rates(NoiseModel("hg"), probs, 20.0, alpha,
+                                reps=reps, rng=RngState(7),
+                                threshold_mode="h0-calibrated")
+    assert report.level == math.floor(alpha * reps) / reps
 
 
 def test_mc_validation():

@@ -199,7 +199,7 @@ FAILING_QUERIES = ([["resolve", "--method", method, "--model", "vsg"]
                     for method in ("asymptotic", "finite-n", "exact", "mc")]
                    + [["power", "--d", "0.1", "--model", model]
                       for model in ("poisson", "vsg", "hg")]
-                   + [["power", "--d", "0.1", "--method", "mc"]])
+                   + [["power", "--d", "0.1", "--method", "mc"], ["scan"]])
 BAD_GRIDS = ["1:2", "a,b", ",", "0.3:0.1:0.1", "1:2:-1", "1:2:0", "a:1:0.1",
              "nan:1:0.1", "0:inf:1", "0:1:1e-9", "1:2:3:4"]
 GRID_COMMANDS = [["simulate", "--grid"], ["simulate", "--method", "formula",
