@@ -94,23 +94,20 @@ def hardest_alternative_scan(model: NoiseModel, psf: PsfModel, d: float,
     """Power of the test against each center offset of the source pair
     of weight ``weight_q``.
 
-    The grid must be symmetric about zero. Offsets whose sources leave the
-    window are skipped and flagged infeasible. Returns the records and the
-    offset of minimal power. The symmetric placement (offset zero) is the
-    hardest alternative only for d small against the kernel width; for a
-    wider pair an offset that puts one source next to x0 can be harder,
-    so the minimum may sit at the grid ends. Powers within 1e-12 of each
-    other count as equal and the first offset is kept. At weight_q = 1/2
-    a centred x0's mirror-image offsets have powers that agree up to
+    The offsets are scanned in increasing order, and the grid need not be
+    symmetric about zero. Offsets whose sources leave the window are
+    skipped and flagged infeasible. Returns the records and the offset of
+    minimal power. The symmetric placement (offset zero) is the hardest
+    alternative only for d small against the kernel width; for a wider
+    pair an offset that puts one source next to x0 can be harder, so the
+    minimum may sit at the grid ends. Powers within 1e-12 of each other
+    count as equal and the first offset is kept. At weight_q = 1/2 a
+    centred x0's mirror-image offsets have powers that agree up to
     rounding, so the leftmost is reported; at other weights the pair is
     not its own mirror image and their powers differ. A weight_q outside
     (0, 1) raises ParameterError.
     """
     lambdas = sorted(float(v) for v in lambdas)
-    scale = max(abs(v) for v in lambdas) or 1.0
-    mirrored = [-v for v in reversed(lambdas)]
-    if max(abs(a - b) for a, b in zip(lambdas, mirrored)) > 1e-12 * scale:
-        raise ParameterError("offset grid must be symmetric about 0")
     profiles = PairProfiles(psf, x0, weight_q, n)
     records = []
     best = (math.inf, math.nan)

@@ -48,11 +48,15 @@ chosen by ``draw_route`` from the query alone:
 * ``photons``  a Poisson draw expecting at most PHOTONS_PER_BIN photons per
                bin draws each record's photon total N ~ Poi(eta t sum p)
                and gives every photon a bin from p / sum p through Walker's
-               alias table. By Poisson splitting the bin counts, and so T,
-               have the same law as on the records route, and the cost
-               follows the photons, not the bin count.
+               alias table, read as a table of cells (``_cell_table``) in
+               one multiply and one gather per photon. By Poisson
+               splitting the bin counts, and so T, have the same law as on
+               the records route, and the cost follows the photons, not
+               the bin count.
 
-Either way a draw holds one chunk plus reps values of T, whatever reps is.
+Either way a draw holds one chunk plus reps values of T, whatever reps is,
+and its chunk buffers are the calling thread's own, kept and reused from
+draw to draw (``_scratch``), so that a draw maps no fresh pages.
 Every Monte Carlo rate, of ``power`` and of the Monte Carlo search alike,
 is one ``mc_error_rates`` call: it sets the threshold, draws each side it
 needs once and counts.
@@ -61,6 +65,7 @@ needs once and counts.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -80,10 +85,17 @@ SAMPLE_CHUNK_VALUES = 1 << 16
 # photons per bin, eta t sum(p) <= PHOTONS_PER_BIN * n; above it one
 # variate per bin is cheaper (the crossover in BENCH_photon_draw.json)
 PHOTONS_PER_BIN = 3.0
+# a photon draw's cell table (``_cell_table``) has at most one cell per this
+# many of the draw's photons: the default sweeps' photon draws ran fastest
+# from 8 to 32, where building the table costs little beside reading it
+# (BENCH_draw_workspace.json, "photons_per_cell")
+PHOTONS_PER_CELL = 16
 # largest mean numpy's Poisson sampler accepts: int64 max less ten of its
 # square roots
 POISSON_MAX_MEAN = (np.iinfo(np.int64).max
                     - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+# each thread's draw buffers, reused from draw to draw (``_scratch``)
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -160,10 +172,11 @@ def sample_observations(model: NoiseModel, probs: BinProbabilities,
     ``_statistic_terms``, so the draw holds one chunk of at most
     SAMPLE_CHUNK_VALUES variates or photons plus the reps values of T,
     whatever reps is. On the records route the records are drawn in row
-    chunks into one reused buffer, and each chunk is summed row by row
-    (``_bin_sum``) before the next is drawn; the generator fills the rows
-    in order, so the values equal ``lrt_statistic`` of one full reps-by-n
-    draw bit for bit, at any BLAS thread count. On the photons route
+    chunks into the thread's kept buffer (``_scratch``), and each chunk is
+    summed row by row (``_bin_sum``) before the next is drawn; the
+    generator fills the rows in order, so the values equal
+    ``lrt_statistic`` of one full reps-by-n draw bit for bit, at any BLAS
+    thread count. On the photons route
     (``_photon_sums``) no record is formed, and the values do not depend
     on the chunk size. Deterministic given the RngState. Past T's terms
     it checks only reps >= 100 and numpy's Poisson bound POISSON_MAX_MEAN.
@@ -187,7 +200,8 @@ def sample_observations(model: NoiseModel, probs: BinProbabilities,
         shift = 2.0 * np.sqrt(lam) if model.kind == "vsg" else lam
         step = max(1, SAMPLE_CHUNK_VALUES // max(1, lam.size))
         stats = np.empty(reps)
-        buffer = np.empty((min(step, reps), lam.size))
+        rows = min(step, reps)
+        buffer = _scratch("values", rows * lam.size).reshape(rows, lam.size)
         for first in range(0, reps, step):
             block = buffer[:min(step, reps - first)]
             if model.kind == "poisson":
@@ -230,6 +244,48 @@ def _alias_table(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
+def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """A buffer of ``size`` items for one draw's chunk work: a slice of
+    this thread's kept buffer ``name`` while size is at most
+    SAMPLE_CHUNK_VALUES, so that the thread's draws reuse pages already
+    mapped; a larger request gets an array of its own, which is not kept.
+    Threads never share a buffer, and a draw returns none of them."""
+    if size > SAMPLE_CHUNK_VALUES:
+        return np.empty(size, dtype)
+    buffer = getattr(_SCRATCH, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(SAMPLE_CHUNK_VALUES, dtype)
+        setattr(_SCRATCH, name, buffer)
+    return buffer[:size]
+
+
+def _cell_table(prob: np.ndarray, alias: np.ndarray, a: np.ndarray,
+                photons: int) -> tuple[np.ndarray, int]:
+    """The alias table read as n M cells, M = 2^shift: cell j = k M + r
+    holds the coefficient of every photon whose n u lies in
+    [k + r / M, k + (r + 1) / M), a[k] where that span lies below prob[k],
+    a[alias[k]] where it lies above, and nan where it holds prob[k]. M is
+    the largest power of two with n M at most SAMPLE_CHUNK_VALUES and at
+    most photons / PHOTONS_PER_CELL, and at least 1, so that building the
+    table costs a fraction of reading it; at most one cell in M of a bin
+    is nan. Returns the table and shift."""
+    n = prob.size
+    cells = min(SAMPLE_CHUNK_VALUES, photons // PHOTONS_PER_CELL)
+    shift = max(0, (cells // n).bit_length() - 1)
+    split = 1 << shift
+    table = _scratch("table", n << shift).reshape(n, split)
+    table[...] = a[alias][:, None]
+    # prob M is exact: the cells r < floor(prob M) lie wholly below prob
+    edge = prob * split
+    whole = np.floor(edge)
+    below = _scratch("mask", n << shift, bool).reshape(n, split)
+    np.less(np.arange(split), whole[:, None], out=below)
+    np.copyto(table, a[:, None], where=below)
+    straddle = np.flatnonzero(whole < edge)
+    table[straddle, whole[straddle].astype(np.intp)] = np.nan
+    return table.ravel(), shift
+
+
 def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
                  a: np.ndarray) -> np.ndarray:
     """sum_i a_i Y_i for reps records of independent counts
@@ -237,14 +293,20 @@ def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
 
     Each record's photon total N ~ Poi(sum lam) is drawn first, for all
     records; then each photon gets a bin k with probability
-    lam_k / sum(lam) from one uniform u, cell k = floor(n u) of the alias
-    table kept when the fraction n u - k is below prob[k]. The photons are
-    drawn in chunks of at most SAMPLE_CHUNK_VALUES (a record of more
-    photons is a chunk of its own) that never split a record, and each
-    record's sum is one segment of ``np.add.reduceat``, so the values do
-    not depend on the chunk size. A record without photons has sum 0.
+    lam_k / sum(lam) from one uniform u by Walker's alias table: bin
+    k = floor(n u), kept when the fraction n u - k is below prob[k], else
+    alias[k]. The photon reads its coefficient from ``_cell_table`` at
+    cell floor(u n M), one multiply and one gather: fl(u n M) = M fl(u n)
+    for M a power of two, so the cell lies in the bin's span that holds
+    fl(u n), and only a photon in a nan cell, one that holds prob[k],
+    takes the alias test itself. Every photon so gets the bin the test
+    gives it, and the sums do not depend on M. The photons are drawn in
+    chunks of at most SAMPLE_CHUNK_VALUES (a record of more photons is a
+    chunk of its own) that never split a record, into this thread's kept
+    buffers (``_scratch``), and each record's sum is one segment of
+    ``np.add.reduceat``, so the values do not depend on the chunk size.
+    A record without photons has sum 0.
     """
-    n = lam.size
     mean = lam.sum()
     counts = gen.poisson(mean, size=reps)
     # a record's sum overwrites its count once its photons are summed
@@ -253,13 +315,10 @@ def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
         # every sum is 0 (as where eta t p rounds to 0): no alias table
         return out
     prob, alias = _alias_table(lam)
-    # one gather reads a photon's coefficient:
-    # coeff[2k] = a[alias[k]], coeff[2k + 1] = a[k]
-    coeff = np.column_stack((a[alias], a)).ravel()
-    # one set of chunk buffers, reused: the loop allocates no photon array
+    table, shift = _cell_table(prob, alias, a, int(counts.sum()))
     size = max(SAMPLE_CHUNK_VALUES, int(counts.max()))
-    uniform, value = np.empty(size), np.empty(size)
-    cell, kept = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    uniform, value = _scratch("uniform", size), _scratch("values", size)
+    cell, nan = _scratch("cell", size, np.intp), _scratch("mask", size, bool)
     width = max(1, int(SAMPLE_CHUNK_VALUES / max(1.0, mean)))
     first = 0
     while first < reps:
@@ -272,18 +331,18 @@ def _photon_sums(gen: np.random.Generator, lam: np.ndarray, reps: int,
         starts = (ends - held)[filled]
         photons = int(ends[-1])
         u = gen.random(out=uniform[:photons])
-        u *= n  # n times a uniform on [0, 1), so floor(u) < n
-        k = cell[:photons]
-        np.copyto(k, u, casting="unsafe")
-        np.take(prob, k, out=value[:photons])
-        u -= k
-        np.less(u, value[:photons], out=kept[:photons])
-        k <<= 1
-        k += kept[:photons]
-        np.take(coeff, k, out=value[:photons])
+        u *= table.size  # n M times a uniform on [0, 1): the cell index
+        j = cell[:photons]
+        np.copyto(j, u, casting="unsafe")
+        v = np.take(table, j, out=value[:photons])
+        hit = np.flatnonzero(np.isnan(v, out=nan[:photons]))
+        if hit.size:
+            x = u[hit] * (1.0 / (1 << shift))  # fl(u n), exactly
+            k = j[hit] >> shift
+            v[hit] = np.where(x - k < prob[k], a[k], a[alias[k]])
         sums = out[first:first + rows]
         sums[...] = 0.0
-        sums[filled] = np.add.reduceat(value[:photons], starts)
+        sums[filled] = np.add.reduceat(v, starts)
         first += rows
     return out
 

@@ -22,6 +22,13 @@ decides the Monte Carlo start: the exact root for hg and vsg, and for
 poisson the root of T's two-term Edgeworth power while T's Lyapunov
 ratio rho is at most EDGEWORTH_RHO_BOUND, else the CLT root.
 
+Every closed-form root, the exact solve's and the Monte Carlo start's,
+normal, CLT or Edgeworth, is one grid search, ``_power_root``: it decides
+by the gap's sign alone and places its probes by secant steps on
+Phi^-1(power) against d^2, the scale on which the small-d law is a line,
+each held near the bracket's midpoint as in the ITP method, so that it
+closes in a bounded number of gap evaluations.
+
 The closed-form routes share one small-d law, written out in ``_law``;
 each supplies only the kernel information it enters. The homogeneous
 model resolves more slowly in eta t than the variance-stabilized model
@@ -48,6 +55,13 @@ from .psf import (GAUSSIAN_FWHM_FACTOR, PsfModel, curvature_integral,
                   fisher_integral, psf_fwhm)
 
 ROOT_GRID = 2.0 ** -40
+# least and most factor by which a bracket short of the root grows
+ROOT_GROWTH = (1.05, 1.5)
+# probes a bracketed root search may take beyond bisection's count (ITP's
+# n0): at 1 the bound cut into secant steps that had not yet halved the
+# bracket, from 2 on no reference or workload root changed its path, and 3
+# keeps one in hand (BENCH_draw_workspace.json, "root_search_design")
+ROOT_SLACK = 3
 MC_MAX_ITERATIONS = 60
 MC_EXPANSION_FACTOR = 1.5
 # largest Lyapunov ratio rho of the Poisson T at the CLT start for which
@@ -226,7 +240,7 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
                                     model.kind, profiles.null_bins))
     if not ROOT_GRID <= first < math.inf:
         first = psf_fwhm(query.psf)
-    root = _power_root(gap, first, window)
+    root = _power_root(gap, first, window, query.alpha, query.beta)
     start = {"start": root or window, "start_law": "normal"}
     if model.kind != "poisson":
         return profiles, gap, window, root, start
@@ -239,7 +253,8 @@ def _search(query: ResolutionQuery, threshold_mode: str = "analytic"):
 
     start.update(start_law="clt", rho=law(start["start"]).rho)
     if start["rho"] <= EDGEWORTH_RHO_BOUND:
-        d = _power_root(edgeworth_gap, start["start"], window)
+        d = _power_root(edgeworth_gap, start["start"], window,
+                        query.alpha, query.beta)
         if d is not None and math.isfinite(edgeworth_gap(d)):
             start.update(start=d, start_law="edgeworth")
     return profiles, gap, window, root, start
@@ -255,40 +270,89 @@ def _power_slope(gap, d: float, window: float) -> float:
     return (gap(d * 1.001) - gap(d * 0.999)) / (0.002 * d)
 
 
-def _power_root(gap, first: float, cap: float) -> float | None:
+def _power_root(gap, first: float, cap: float, alpha: float,
+                beta: float) -> float | None:
     """First point of the grid k * ROOT_GRID, at most ``cap``, whose gap is
-    >= 0, or None when the gap at the cap is < 0.
+    >= 0, or None when the gap at the cap is < 0. The gap is a power at d
+    less 1 - beta, of a level-alpha test, so it reads alpha - (1 - beta)
+    as d falls to 0.
 
-    The bracket grows from min(first, cap), the finite-n law's d, the
-    kernel's FWHM or a nearby root, by MC_EXPANSION_FACTOR up to the
-    first end past the root.
-    Illinois steps on k (Dowell & Jarratt, BIT 1971) close it: each probe
-    is the grid point nearest the secant root, strictly inside the
-    bracket, and an end kept twice in a row has its gap halved. The search
-    ends at adjacent grid points, read by sign only, so queries whose gaps
-    differ only in the last bits (hg with and without a background
-    pedestal) give the same root, and the root does not depend on where
-    the bracket started.
+    Signs come from the gap alone; its values only place the probes, on
+    the scale y = Phi^-1(power) - z_(1-beta) against x = k^2, where the
+    small-d law (power Phi(c d^2 - z_(1-alpha))) makes y nearly linear.
+    The point (0, Phi^-1(alpha) - z_(1-beta)) anchors the low end, and no
+    gap is evaluated at d = 0. The bracket grows from min(first, cap), the
+    finite-n law's d, the kernel's FWHM or a nearby root, to the secant
+    root through its last two points, by a factor clamped to ROOT_GROWTH,
+    up to the first end past the root. Secant steps close it: each probe
+    is the grid point nearest the root of the line through the two latest
+    points, strictly inside the bracket, or where that root falls outside
+    it, of the line through the bracket's ends, whose y is halved at an
+    end kept twice in a row (Illinois; Dowell & Jarratt, BIT 1971). Each
+    probe is first drawn to within r of the bracket's midpoint,
+    r = 2^(m - j - 1) - (b - a) / 2 at probe j with
+    m = ceil(log2(b - a)) + ROOT_SLACK on the first bracket, as in
+    Oliveira & Takahashi's ITP method (ACM TOMS 47, 2020): the secant
+    steps run free while they gain on bisection, and the bracket closes in
+    at most m probes whatever the gap's shape. The search ends at adjacent
+    grid points, read by sign only, so queries whose gaps differ only in
+    the last bits (hg with and without a background pedestal) give the
+    same root, and the root does not depend on where the bracket started.
     """
+    target = 1.0 - beta
+    z_target = normal.quantile(target)
+
+    def scale(g: float) -> float:
+        # Phi^-1 of the power, kept finite where it saturates at 0 or 1
+        return normal.quantile(min(max(g + target, 5e-324),
+                                   1.0 - 2.0 ** -53)) - z_target
+
+    def secant(ka: int, ya: float, kb: int, yb: float) -> float:
+        # the k whose k^2 is the root of the line through (ka^2, ya) and
+        # (kb^2, yb); nan where the line does not rise
+        rise = yb - ya
+        if not rise > 0.0:
+            return math.nan
+        x = kb * kb - yb * (kb * kb - ka * ka) / rise
+        return math.sqrt(x) if x > 0.0 else 0.0
+
     top = math.floor(cap / ROOT_GRID)
-    a, b = 0, min(max(1, math.ceil(first / ROOT_GRID)), top)
-    while gap(b * ROOT_GRID) < 0.0:
+    a, ya = 0, normal.quantile(alpha) - z_target
+    b = min(max(1, math.ceil(first / ROOT_GRID)), top)
+    gb = gap(b * ROOT_GRID)
+    while gb < 0.0:
         if b == top:
             return None
-        a, b = b, min(math.ceil(MC_EXPANSION_FACTOR * b), top)
-    ga, gb = gap(a * ROOT_GRID), gap(b * ROOT_GRID)
+        yb = scale(gb)
+        growth = secant(a, ya, b, yb) / b
+        growth = (ROOT_GROWTH[1] if not growth < ROOT_GROWTH[1]
+                  else max(growth, ROOT_GROWTH[0]))
+        a, ya, b = b, yb, min(math.ceil(growth * b), top)
+        gb = gap(b * ROOT_GRID)
+    yb = scale(gb)
+    last = ((a, ya), (b, yb))  # the two latest points, oldest first
+    probes = math.ceil(math.log2(b - a)) + ROOT_SLACK if b - a > 1 else 0
     kept = 0  # +1: b was kept by the last step, -1: a was
     while b - a > 1:
-        k = min(max(round(b - gb * (b - a) / (gb - ga)), a + 1), b - 1)
+        probes -= 1
+        mid, reach = 0.5 * (a + b), 2.0 ** probes - 0.5 * (b - a)
+        k = secant(*min(last), *max(last))
+        if not a < k < b:
+            k = secant(a, ya, b, yb)
+        if not abs(k - mid) <= reach:
+            k = mid if math.isnan(k) else mid + math.copysign(reach, k - mid)
+        k = min(max(round(k), a + 1), b - 1)
         gk = gap(k * ROOT_GRID)
+        yk = scale(gk)
+        last = (last[1], (k, yk))
         if gk < 0.0:
             if kept > 0:
-                gb *= 0.5
-            a, ga, kept = k, gk, 1
+                yb *= 0.5
+            a, ya, kept = k, yk, 1
         else:
             if kept < 0:
-                ga *= 0.5
-            b, gb, kept = k, gk, -1
+                ya *= 0.5
+            b, yb, kept = k, yk, -1
     return b * ROOT_GRID
 
 

@@ -1,6 +1,7 @@
 """Reference tables, nuisance scans and simulation sweeps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from statres.analysis import (BOUNDARY_COEFF, CRITERION_RATIOS, FitResult,
 from statres.binning import (SourceConfig, bin_information_sum,
                              bin_probabilities)
 from statres.exceptions import ParameterError
-from statres.models import NoiseModel, analytic_report
+from statres.models import (SAMPLE_CHUNK_VALUES, NoiseModel,
+                            analytic_report, draw_route)
 from statres.psf import PsfModel, fisher_integral
 from statres.resolution import ResolutionQuery, detection_boundary
 
@@ -167,11 +169,23 @@ def test_hardest_alternative_scan_reads_the_pair_weight():
                                      alpha=0.1, lambdas=grid, weight_q=q)
 
 
-def test_hardest_alternative_rejects_asymmetric_grids():
+def test_hardest_alternative_scans_asymmetric_grids():
+    # a grid need not mirror itself about 0: it is scanned in increasing
+    # order and the offset of least power is reported, as on any grid
     psf = PsfModel.gaussian(0.0849)
-    with pytest.raises(ParameterError):
-        hardest_alternative_scan(NoiseModel("hg"), psf, d=0.1, t=20.0,
-                                 n=20, alpha=0.1, lambdas=(-0.01, 0.0, 0.02))
+    model = NoiseModel("hg")
+    for q in (0.5, 0.3):
+        records, lam_star = hardest_alternative_scan(
+            model, psf, d=0.1, t=20.0, n=20, alpha=0.1,
+            lambdas=(0.02, -0.01, 0.0, 0.05), weight_q=q)
+        offsets = [r["offset_lambda"] for r in records]
+        assert offsets == [-0.01, 0.0, 0.02, 0.05]
+        powers = {r["offset_lambda"]: r["power"] for r in records}
+        for lam, power in powers.items():
+            src = SourceConfig(x0=0.5, d=0.1, weight_q=q, offset_lambda=lam)
+            assert power == analytic_report(
+                model, bin_probabilities(psf, src, 20), 20.0, 0.1).power
+        assert lam_star == min(powers, key=powers.get)
 
 
 def test_weight_scan_symmetry_and_minimum():
@@ -304,6 +318,34 @@ def test_mc_sweep_is_thread_invariant():
     records_pool, fits_pool = simulation_sweep(threaded)
     assert records_serial == records_pool
     assert fits_serial == fits_pool
+
+
+def test_mc_sweep_across_chunks_is_thread_invariant():
+    # 4000 records of 20 bins fill two chunks on the records route (vsg,
+    # and poisson from t = 80 on, above the photon crossover) and three
+    # chunks of photons (poisson at t = 40): threads drawing at once keep
+    # their own chunk buffers, so the bits match the serial sweep
+    reps, n = 4000, 20
+    assert reps * n > SAMPLE_CHUNK_VALUES
+    assert 40 * reps > 2 * SAMPLE_CHUNK_VALUES
+    p0 = bin_probabilities(PsfModel.gaussian_from_fwhm(0.2),
+                           SourceConfig(x0=0.5, d=0.0), n).p0
+    poisson = NoiseModel("poisson")
+    assert draw_route(poisson, p0, 40.0) == "photons"
+    assert draw_route(poisson, p0, 80.0) == "records"
+    specs = [SweepSpec(swept="t", grid=(40.0, 80.0, 160.0),
+                       models=("poisson", "vsg"), reps=reps, seed=3,
+                       threads=threads) for threads in (1, 4)]
+    # a short switch interval interleaves the threads' chunks more often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        (serial, serial_fits), (pooled, pooled_fits) = map(simulation_sweep,
+                                                           specs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial == pooled
+    assert serial_fits == pooled_fits
 
 
 def test_mc_sweep_records_are_well_formed():

@@ -423,6 +423,17 @@ def test_scan_lambda_symmetric(capsys):
     assert all(r["feasible"] == "true" for r in rows)
 
 
+def test_scan_lambda_takes_an_asymmetric_grid(capsys):
+    # one-sided offsets scan like any grid; the least power sits at 0
+    code, out, _ = run(capsys, ["scan", "--q-weight", "0.3",
+                                "--grid", "0:0.05:0.01"])
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    powers = [float(r["power"]) for r in rows]
+    assert len(rows) == 6 and powers == sorted(powers)
+    assert float(meta["lambda_star"]) == 0.0
+
+
 def test_scan_weight_ratio(capsys):
     code, out, _ = run(capsys, ["scan", "--kind", "weight",
                                 "--grid", "0.2,0.5,0.8"])

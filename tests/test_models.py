@@ -222,6 +222,53 @@ def test_photon_draw_equals_a_one_shot_draw(t, monkeypatch):
             assert np.all(got[counts > 0] != 0.0)
 
 
+def _edge_lam(p):
+    # four bins that sum to 4, so that q = lam: bin 0 falls short of the
+    # mean and keeps prob[0] = p, taking the rest of its cell from bin 1
+    return np.array([p, 2.0 - p, 1.0, 1.0])
+
+
+# 0.375 M is an integer for every table of M >= 8 cells per bin, so a cell
+# edge meets prob[0] there; an ulp either side, that cell holds prob[0]
+PHOTON_LAMS = {
+    "one bin": np.array([2.5]),
+    "three bins": np.array([0.2, 1.1, 0.7]),
+    "twenty bins": 20.0 * make_probs(gamma=0.5).p1,
+    "a thousand bins": 1e-3 * np.random.default_rng(3).pareto(1.0, 1000)
+    + 1e-4,
+    "tiny means": np.full(20, 1e-3),
+    "prob on a cell edge": _edge_lam(0.375),
+    "prob an ulp below": _edge_lam(np.nextafter(0.375, 0.0)),
+    "prob an ulp above": _edge_lam(np.nextafter(0.375, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", PHOTON_LAMS)
+def test_photon_sums_equal_the_alias_test_photon_by_photon(name):
+    # a photon reads its coefficient from its cell, and only a cell that
+    # holds prob[k] runs the alias test: the sums are those of the test run
+    # on every photon, byte for byte, over tables of 1 to 2^11 cells per
+    # bin, and on successive draws of different sizes into one thread's
+    # kept buffers
+    lam = PHOTON_LAMS[name]
+    prob, alias = models._alias_table(lam)
+    if name.startswith("prob"):
+        assert prob[0] == lam[0] and alias[0] == 1
+    a = np.random.default_rng(5).standard_normal(lam.size)
+    splits = set()
+    for reps in (100, 5000, 300, 40000):
+        got = models._photon_sums(RngState(seed=reps).generator(), lam,
+                                  reps, a)
+        want, counts = _photon_oracle(lam, a, reps,
+                                      RngState(seed=reps).generator())
+        assert got.tobytes() == want.tobytes()
+        splits.add(models._cell_table(prob, alias, a,
+                                      int(counts.sum()))[1])
+    assert len(splits) >= (1 if lam.size == 1 else 2)
+    if name.startswith("prob"):
+        assert max(splits) >= 3
+
+
 @pytest.mark.parametrize("n, t, reps", [
     (20, 20.0, 40000), (1000, 100.0, 20000), (10000, 1000.0, 4000)])
 def test_photon_draw_moments_match_statistic_moments(n, t, reps):

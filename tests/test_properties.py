@@ -3,17 +3,19 @@ laws and of the command line's failures, checked on generated inputs."""
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statres import cli
+from statres import cli, normal
 from statres.binning import SourceConfig, bin_probabilities
 from statres.models import (MODEL_KINDS, NoiseModel, analytic_report,
                             exact_error_rates)
 from statres.psf import AIRY_FWHM_U, PsfModel, curvature_integral
-from statres.resolution import (ROOT_GRID, ResolutionQuery,
+from statres.resolution import (ROOT_GRID, ROOT_GROWTH, ROOT_SLACK,
+                                ResolutionQuery, _power_root,
                                 asymptotic_resolution, exact_resolution,
                                 finite_n_resolution)
 
@@ -100,6 +102,97 @@ def test_exact_resolution_inverts_the_exact_power(kind, fwhm, x0, t):
     below = exact_power(kind, probs_at(fwhm, x0, 0.5, result.d - ROOT_GRID),
                         t, query.alpha)
     assert below < target
+
+
+# ------------------------------------------------------ the root search
+
+def illinois_root(gap, first, cap):
+    """The grid root search as it stood before its steps moved to the d^2
+    scale: the bracket grows from gap(first) by 1.5 and Illinois steps on
+    the gap's own values close it, from gap(0) at the low end."""
+    top = math.floor(cap / ROOT_GRID)
+    a, b = 0, min(max(1, math.ceil(first / ROOT_GRID)), top)
+    while gap(b * ROOT_GRID) < 0.0:
+        if b == top:
+            return None
+        a, b = b, min(math.ceil(1.5 * b), top)
+    ga, gb = gap(a * ROOT_GRID), gap(b * ROOT_GRID)
+    kept = 0
+    while b - a > 1:
+        k = min(max(round(b - gb * (b - a) / (gb - ga)), a + 1), b - 1)
+        gk = gap(k * ROOT_GRID)
+        if gk < 0.0:
+            if kept > 0:
+                gb *= 0.5
+            a, ga, kept = k, gk, 1
+        else:
+            if kept < 0:
+                ga *= 0.5
+            b, gb, kept = k, gk, -1
+    return b * ROOT_GRID
+
+
+@st.composite
+def monotone_gaps(draw):
+    """A power curve of a level-alpha test less 1 - beta, monotone in d:
+    Phi(c (d - flat)^p - z_(1-alpha)), so alpha on a flat stretch up to
+    ``flat`` and then rising as a p-th power, with p = 2 the small-d law;
+    it may saturate to exactly 1 from ``saturate`` on. The cap puts the
+    grid root well inside the window, at the cap itself or past it."""
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    beta = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    root = draw(st.floats(1e-3, 0.4))
+    flat = root * draw(st.sampled_from([0.0, 0.0, 0.3, 0.9]))
+    p = draw(st.sampled_from([2.0, 2.0, 1.0, 1.5, 3.0, 4.0]))
+    saturate = root * draw(st.sampled_from([math.inf, 0.7, 1.2]))
+    z_alpha = normal.quantile(1.0 - alpha)
+    c = (z_alpha + normal.quantile(1.0 - beta)) / (root - flat) ** p
+
+    def gap(d):
+        power = (1.0 if d >= saturate else
+                 normal.cdf(c * max(d - flat, 0.0) ** p - z_alpha))
+        return power - (1.0 - beta)
+
+    first = root * draw(st.floats(0.2, 5.0))
+    cap = draw(st.sampled_from(["wide", "at root", "short"]))
+    if cap == "wide":
+        cap = 0.5
+    else:
+        k = round(illinois_root(gap, first, 0.5) / ROOT_GRID)
+        cap = (k if cap == "at root" else k - 1) * ROOT_GRID
+    return gap, first, cap, alpha, beta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=monotone_gaps())
+def test_power_root_finds_the_illinois_grid_point(case):
+    # the same first grid point with gap >= 0, or None, as the old search,
+    # whatever the gap's shape; the bracket grows by a factor within
+    # ROOT_GROWTH a step, and once it holds the root it closes in at most
+    # ceil(log2(b - a)) + ROOT_SLACK probes
+    gap, first, cap, alpha, beta = case
+    calls = []
+
+    def counted(d):
+        assert len(calls) < 1000
+        calls.append(round(d / ROOT_GRID))
+        return gap(d)
+
+    got = _power_root(counted, first, cap, alpha, beta)
+    assert got == illinois_root(gap, first, cap)
+    assert len(set(calls)) == len(calls) and 0 not in calls
+    top = math.floor(cap / ROOT_GRID)
+    grown = next((i for i, k in enumerate(calls)
+                  if gap(k * ROOT_GRID) >= 0.0), len(calls) - 1)
+    assert all(ROOT_GROWTH[0] * j <= k <= math.ceil(ROOT_GROWTH[1] * j)
+               or k == top for j, k in zip(calls, calls[1:grown + 1]))
+    if got is None:
+        assert calls[-1] == top and grown == len(calls) - 1
+        return
+    a, b = calls[grown - 1] if grown else 0, calls[grown]
+    probes = len(calls) - grown - 1
+    assert probes <= (math.ceil(math.log2(b - a)) + ROOT_SLACK
+                      if b - a > 1 else 0)
 
 
 # --------------------------------------------------- the resolution laws

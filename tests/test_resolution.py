@@ -368,8 +368,8 @@ def test_exact_resolution_integrates_the_null_once(monkeypatch):
     result = exact_resolution(make_query("vsg", t=20.0, n=20, x0=0.45))
     assert centers.count(0.45) == 1
     # the two alternative sources of every d evaluated, no more: the
-    # bracket grows from the finite-n law's d, below the root, so d = 0
-    # is never evaluated
+    # root search anchors its low end at the power alpha of d = 0, so
+    # d = 0 is never evaluated
     assert len(centers) == 1 + 2 * result.diagnostics["iterations"]
 
 
